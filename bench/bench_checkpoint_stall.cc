@@ -1,18 +1,13 @@
 // Checkpoint-stall bench: commit-latency tail under auto-checkpoints, 8
-// concurrent clients. Three phases over identical workloads:
+// concurrent clients. Two phases over identical workloads:
 //
 //   no-checkpoint     — cadence off: the latency floor,
-//   ckpt-foreground   — PHX_CKPT_BG=0 semantics: the whole snapshot + encode
-//                       + image write + WAL truncate runs under the
-//                       exclusive data lock (stop-the-world),
-//   ckpt-background   — PHX_CKPT_BG=1 semantics: commits only pay the brief
-//                       snapshot clone; encode + write run on the dedicated
-//                       checkpoint thread.
+//   ckpt-background   — commits only pay the brief snapshot clone; encode +
+//                       write run on the dedicated checkpoint thread.
 //
 // The store is preloaded so each image is meaningfully large, and the disk
-// charges a realistic fsync service time, so the foreground phase shows the
-// stall the background pipeline removes. Acceptance (ISSUE 5): background
-// p99 commit latency within 2x of the no-checkpoint floor. Results land in
+// charges a realistic fsync service time. Acceptance: background p99 commit
+// latency within 2x of the no-checkpoint floor. Results land in
 // BENCH_checkpoint.json.
 
 #include <algorithm>
@@ -37,7 +32,6 @@ constexpr uint64_t kCheckpointEveryN = 25;  // fires ~38x per phase
 struct Mode {
   const char* name;
   uint64_t checkpoint_every_n;
-  bool background;
 };
 
 struct PhaseResult {
@@ -101,7 +95,6 @@ PhaseResult RunPhase(const Mode& mode) {
   disk.set_sync_latency_us(kSyncLatencyUs);
   net::ServerOptions opts;
   opts.db.checkpoint_every_n_commits = mode.checkpoint_every_n;
-  opts.db.background_checkpoint = mode.background;
   opts.worker_threads = 16;
   opts.queue_capacity = 256;
   net::DbServer server(&disk, opts);
@@ -173,9 +166,8 @@ void Main() {
   PrintRule(96);
 
   const Mode modes[] = {
-      {"no-checkpoint", 0, true},
-      {"ckpt-foreground", kCheckpointEveryN, false},
-      {"ckpt-background", kCheckpointEveryN, true},
+      {"no-checkpoint", 0},
+      {"ckpt-background", kCheckpointEveryN},
   };
   std::vector<PhaseResult> results;
   for (const Mode& mode : modes) {
@@ -189,14 +181,11 @@ void Main() {
   }
   PrintRule(96);
   double floor_p99 = results[0].p99_us;
-  double fg_p99 = results[1].p99_us;
-  double bg_p99 = results[2].p99_us;
+  double bg_p99 = results[1].p99_us;
   double bg_ratio = floor_p99 > 0 ? bg_p99 / floor_p99 : 0;
-  double fg_ratio = floor_p99 > 0 ? fg_p99 / floor_p99 : 0;
-  std::printf(
-      "p99 vs no-checkpoint floor: foreground %.2fx, background %.2fx "
-      "(acceptance ceiling: 2x)\n",
-      fg_ratio, bg_ratio);
+  std::printf("p99 vs no-checkpoint floor: background %.2fx "
+              "(acceptance ceiling: 2x)\n",
+              bg_ratio);
 
   std::string json =
       "{\n  \"clients\": " + std::to_string(kClients) +

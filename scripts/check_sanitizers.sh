@@ -19,17 +19,6 @@
 # main lanes with `ctest -LE socket` (the suites also self-skip when the
 # sandbox denies AF_UNIX).
 #
-# Every lane's ctest pass runs over the durability-knob matrix: both WAL
-# pipelines (PHX_GROUP_COMMIT=0, the per-commit-sync seed behavior, and =1,
-# group commit) crossed with both checkpoint modes (PHX_CKPT_BG=0,
-# stop-the-world under the data lock, and =1, the background checkpoint
-# thread) crossed with both access-path planners (PHX_INDEX_PLANNER=0,
-# always-sequential seed behavior, and =1, cost-based index selection) —
-# eight ctest passes per lane, so every durability and access path stays
-# exercised under the sanitizers. Tests that pin a mode via
-# DatabaseOptions/ChaosOptions/set_index_planner override the env either
-# way.
-#
 # A fifth lane, `recovery`, runs the recovery-side suites under TSan twice:
 # with PHX_RECOVERY_THREADS=1 (the serial replay path) and =4 (partitioned
 # replay on the worker pool), so the scan-thread/worker handoff, the DDL
@@ -63,26 +52,16 @@ run_lane() {
         -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   echo "==> [$lane_name] build"
   cmake --build "$build_dir" -j "$JOBS" >/dev/null
-  for gc in 0 1; do
-    for ckpt in 0 1; do
-      for planner in 0 1; do
-        echo "==> [$lane_name] ctest (PHX_GROUP_COMMIT=$gc PHX_CKPT_BG=$ckpt PHX_INDEX_PLANNER=$planner)"
-        # halt_on_error makes any sanitizer report fail the test that
-        # produced it.
-        PHX_GROUP_COMMIT="$gc" \
-        PHX_CKPT_BG="$ckpt" \
-        PHX_INDEX_PLANNER="$planner" \
-        PHX_RECOVERY_THREADS="${LANE_RECOVERY_THREADS:-1}" \
-        PHX_TRANSPORT="${LANE_TRANSPORT:-inproc}" \
-        PHX_MVCC="${LANE_MVCC:-1}" \
-        ASAN_OPTIONS="halt_on_error=1" \
-        UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
-        TSAN_OPTIONS="halt_on_error=1" \
-          ctest --test-dir "$build_dir" --output-on-failure -j 2 \
-                ${test_regex:+-R "$test_regex"}
-      done
-    done
-  done
+  echo "==> [$lane_name] ctest"
+  # halt_on_error makes any sanitizer report fail the test that produced it.
+  PHX_RECOVERY_THREADS="${LANE_RECOVERY_THREADS:-1}" \
+  PHX_TRANSPORT="${LANE_TRANSPORT:-inproc}" \
+  PHX_MVCC="${LANE_MVCC:-1}" \
+  ASAN_OPTIONS="halt_on_error=1" \
+  UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
+  TSAN_OPTIONS="halt_on_error=1" \
+    ctest --test-dir "$build_dir" --output-on-failure -j 2 \
+          ${test_regex:+-R "$test_regex"}
   echo "==> [$lane_name] OK"
 }
 

@@ -465,15 +465,9 @@ ChaosReport RunProcessChaosSchedule(const ChaosOptions& opts) {
   popts.transport = opts.transport == Transport::kTcp ? "tcp" : "unix";
   popts.data_dir = data_dir;
   popts.checkpoint_every_n_commits = opts.checkpoint_every_n_commits;
-  // Pin the child's durability knobs explicitly (the in-proc runner pins
-  // them on ServerOptions); unset ones inherit this process's environment,
-  // so sanitizer lanes flip the child the same way they flip everything.
-  auto pin = [&popts](const char* name, const std::optional<bool>& v) {
-    if (v.has_value()) popts.env[name] = *v ? "1" : "0";
-  };
-  pin("PHX_GROUP_COMMIT", opts.group_commit);
-  pin("PHX_GC_FLUSHER", opts.gc_flusher);
-  pin("PHX_CKPT_BG", opts.background_checkpoint);
+  // Pin the child's replay-thread count explicitly (the in-proc runner pins
+  // it on ServerOptions); unset, it inherits this process's environment, so
+  // sanitizer lanes flip the child the same way they flip everything.
   if (opts.recovery_threads.has_value()) {
     popts.env["PHX_RECOVERY_THREADS"] = std::to_string(*opts.recovery_threads);
   }
@@ -857,17 +851,6 @@ ChaosReport RunChaosSchedule(const ChaosOptions& opts) {
   storage::SimDisk disk;
   net::ServerOptions sopts;
   sopts.db.checkpoint_every_n_commits = opts.checkpoint_every_n_commits;
-  // sopts.db.wal already carries the environment defaults (FromEnv); a
-  // schedule may pin the group-commit mode on top of them.
-  if (opts.group_commit.has_value()) {
-    sopts.db.wal.group_commit = *opts.group_commit;
-  }
-  if (opts.gc_flusher.has_value()) {
-    sopts.db.wal.dedicated_flusher = *opts.gc_flusher;
-  }
-  if (opts.background_checkpoint.has_value()) {
-    sopts.db.background_checkpoint = *opts.background_checkpoint;
-  }
   if (opts.recovery_threads.has_value()) {
     sopts.db.recovery_threads = *opts.recovery_threads;
   }

@@ -63,17 +63,6 @@ struct ChaosOptions {
   /// checkpoint/WAL interleavings the mid-checkpoint faults depend on.
   uint64_t checkpoint_every_n_commits = 0;
 
-  /// WAL group-commit overrides for the chaos server. Unset = inherit the
-  /// PHX_GROUP_COMMIT / PHX_GC_FLUSHER environment defaults, so sanitizer
-  /// lanes flip the whole matrix; set = pin the mode for a schedule (the
-  /// crash-inside-batch suite runs with group commit forced on).
-  std::optional<bool> group_commit;
-  std::optional<bool> gc_flusher;
-  /// Background-checkpoint override for the chaos server. Unset = inherit
-  /// the PHX_CKPT_BG environment default; set = pin the mode, so the
-  /// concurrent-checkpoint suite covers both the background thread and the
-  /// stop-the-world path regardless of the lane.
-  std::optional<bool> background_checkpoint;
   /// WAL-replay worker override for the chaos server. Unset = inherit the
   /// PHX_RECOVERY_THREADS environment default; set = pin it, so a schedule
   /// can force every recovery through the partitioned parallel path (or
@@ -165,7 +154,7 @@ struct MvccVisibilityOptions {
   int n_txns = 30;           ///< committed writer transactions
   int n_readers = 3;         ///< concurrent snapshot-reader threads
   /// Engine MVCC override. Unset = inherit the PHX_MVCC environment lane
-  /// (same pattern as ChaosOptions::group_commit); set = pin the mode.
+  /// (same pattern as ChaosOptions::recovery_threads); set = pin the mode.
   std::optional<bool> mvcc;
   bool crash_midway = true;  ///< kill + recover the engine mid-schedule
 };

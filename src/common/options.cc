@@ -23,13 +23,6 @@ uint64_t EnvU64(const char* name, uint64_t fallback) {
 
 Options Options::FromEnv() {
   Options o;
-  o.group_commit = EnvFlag("PHX_GROUP_COMMIT", o.group_commit);
-  o.gc_dedicated_flusher = EnvFlag("PHX_GC_FLUSHER", o.gc_dedicated_flusher);
-  o.gc_max_wait_us = EnvU64("PHX_GC_MAX_WAIT_US", o.gc_max_wait_us);
-  o.gc_max_batch_bytes =
-      static_cast<size_t>(EnvU64("PHX_GC_MAX_BATCH_BYTES", o.gc_max_batch_bytes));
-  o.background_checkpoint = EnvFlag("PHX_CKPT_BG", o.background_checkpoint);
-  o.index_planner = EnvFlag("PHX_INDEX_PLANNER", o.index_planner);
   o.mvcc = EnvFlag("PHX_MVCC", o.mvcc);
   o.recovery_threads = EnvU64("PHX_RECOVERY_THREADS", o.recovery_threads);
   if (o.recovery_threads == 0) o.recovery_threads = 1;

@@ -1,7 +1,6 @@
 #ifndef PHOENIX_COMMON_OPTIONS_H_
 #define PHOENIX_COMMON_OPTIONS_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -18,15 +17,9 @@ enum class Transport : uint8_t {
 
 /// Every process-level tuning knob in one typed struct, loaded from the
 /// environment exactly once per consumer via FromEnv(). Subsystems take the
-/// struct (Database, WalWriter, DbServer) instead of each calling getenv —
+/// struct (DatabaseOptions, PhoenixConfig) instead of each calling getenv —
 /// the env-variable names below are the only external surface.
 ///
-///   PHX_GROUP_COMMIT=0|1       group-commit WAL pipeline (default off)
-///   PHX_GC_FLUSHER=0|1         dedicated flusher thread (default off)
-///   PHX_GC_MAX_WAIT_US=<n>     batch accumulation window (default 0)
-///   PHX_GC_MAX_BATCH_BYTES=<n> batch size flush trigger (default 256 KiB)
-///   PHX_CKPT_BG=0|1            background checkpoints (default on)
-///   PHX_INDEX_PLANNER=0|1      cost-aware access-path planner (default on)
 ///   PHX_MVCC=0|1               MVCC snapshot reads: versioned visibility so
 ///                              read-only statements evaluate against a
 ///                              pinned snapshot instead of holding the data
@@ -46,12 +39,6 @@ enum class Transport : uint8_t {
 ///                              to the first healthy server (default empty =
 ///                              single-server reconnect only)
 struct Options {
-  bool group_commit = false;
-  bool gc_dedicated_flusher = false;
-  uint64_t gc_max_wait_us = 0;
-  size_t gc_max_batch_bytes = 256 * 1024;
-  bool background_checkpoint = true;
-  bool index_planner = true;
   bool mvcc = true;
   uint64_t recovery_threads = 1;
   Transport transport = Transport::kInproc;

@@ -16,8 +16,7 @@ using sql::StmtKind;
 Database::Database(storage::SimDisk* disk, DatabaseOptions opts)
     : disk_(disk),
       opts_(std::move(opts)),
-      durability_(disk, opts_.disk_prefix, opts_.wal),
-      index_planner_(opts_.index_planner),
+      durability_(disk, opts_.disk_prefix),
       next_session_id_(opts_.first_session_id) {
   durability_.set_recovery_threads(opts_.recovery_threads);
   durability_.set_replay_hook(opts_.recovery_replay_hook);
@@ -44,9 +43,7 @@ Status Database::Open() {
   // commit publishes a strictly larger LSN.
   committed_lsn_.store(durability_.wal_writer()->last_assigned_lsn(),
                        std::memory_order_release);
-  if (opts_.background_checkpoint) {
-    ckpt_thread_ = std::thread([this] { CheckpointThreadLoop(); });
-  }
+  ckpt_thread_ = std::thread([this] { CheckpointThreadLoop(); });
   open_ = true;
   return Status::Ok();
 }
@@ -155,12 +152,12 @@ Result<StatementResult> Database::ExecuteStatement(uint64_t session_id,
     return ExecuteStatementLocked(session_id, stmt, /*can_checkpoint=*/false,
                                   /*ticket=*/nullptr);
   }
-  // Early lock release (group commit): the statement runs — and, if it
-  // commits, enqueues its WAL record — under the exclusive lock, but the
-  // wait for the batch fsync happens after the lock is dropped. That wait
-  // is where commits from other sessions pile into the same batch; waiting
-  // inside the lock would serialize them and every batch would hold one
-  // record. Success is still reported only after the force returns
+  // Early lock release: the statement runs — and, if it commits, enqueues
+  // its WAL record — under the exclusive lock, but the wait for the batch
+  // fsync happens after the lock is dropped. That wait is where commits
+  // from other sessions pile into the same batch, and readers are not
+  // stuck behind it; waiting inside the lock would serialize them and
+  // every batch would hold one record. Success is still reported only after the force returns
   // (ack-after-fsync), and a failed force overrides the statement result.
   storage::WalCommitTicket ticket;
   auto result = [&]() -> Result<StatementResult> {
@@ -241,7 +238,7 @@ Status Database::Commit(Session* s, bool can_checkpoint,
     storage::WalCommitRecord record;
     record.txn_id = txn->id;
     record.ops = std::move(txn->redo);
-    if (opts_.wal.group_commit && ticket != nullptr) {
+    if (ticket != nullptr) {
       // Enqueue only — never blocks on the device while data_mu_ is held.
       // The caller redeems the ticket after releasing the lock; if the
       // batch sync fails, the error replaces the statement result, so the
@@ -515,11 +512,6 @@ Status Database::CheckpointLocked() {
   PHX_ASSIGN_OR_RETURN(CheckpointSnapshot snap, TakeSnapshotLocked());
   commits_since_checkpoint_.store(0, std::memory_order_relaxed);
   ckpt_deferred_.store(false, std::memory_order_relaxed);
-  if (!opts_.background_checkpoint) {
-    // Foreground mode: the whole encode+write+truncate runs here, under the
-    // exclusive data lock — the stop-the-world stall PHX_CKPT_BG=1 removes.
-    return WriteSnapshotSerialized(std::move(snap), /*truncate_wal=*/true);
-  }
   auto* reg = obs::MetricsRegistry::Default();
   std::lock_guard<std::mutex> lk(ckpt_mu_);
   if (ckpt_pending_.has_value()) {

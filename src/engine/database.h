@@ -43,10 +43,7 @@ struct DatabaseOptions {
   /// modes without code changes.
   DatabaseOptions() : DatabaseOptions(phoenix::Options::FromEnv()) {}
   explicit DatabaseOptions(const phoenix::Options& o)
-      : wal(storage::WalWriterConfig::FromOptions(o)),
-        background_checkpoint(o.background_checkpoint),
-        index_planner(o.index_planner),
-        mvcc(o.mvcc),
+      : mvcc(o.mvcc),
         recovery_threads(o.recovery_threads) {}
 
   /// SimDisk file prefix ("<prefix>.wal", "<prefix>.ckpt").
@@ -57,16 +54,6 @@ struct DatabaseOptions {
   /// unique across process restarts, so a stale pre-crash session id can
   /// never accidentally name a post-crash session.
   uint64_t first_session_id = 1;
-  /// WAL durability pipeline (group commit on/off + knobs).
-  storage::WalWriterConfig wal;
-  /// Background (non-blocking) checkpoints: the commit path only takes the
-  /// snapshot; a dedicated thread encodes, writes, and truncates. Off =
-  /// the whole checkpoint runs inline under the exclusive data lock.
-  bool background_checkpoint;
-  /// Cost-aware access-path planner (secondary/PK index scans, index
-  /// nested-loop joins). Off = every SELECT seq-scans, the pre-index
-  /// behavior. Runtime-togglable via Database::set_index_planner.
-  bool index_planner;
   /// MVCC snapshot reads (PHX_MVCC): read-only SELECTs pin a commit-LSN
   /// snapshot, collect visible rows under a brief shared hold, and run
   /// projection/aggregation/sort off the data lock; writers install row
@@ -156,8 +143,8 @@ class Database {
   /// Active transactions no longer block it: the image holds committed
   /// state only — each open transaction's effects are reverted in the
   /// snapshot clone — and replay is fenced on the WAL LSN captured at
-  /// snapshot time. With background_checkpoint the image write happens off
-  /// the data lock, so other sessions keep executing during it.
+  /// snapshot time. The image write happens off the data lock, so other
+  /// sessions keep executing during it.
   Status Checkpoint();
   /// Crash point for fault tests: writes the checkpoint image durably but
   /// dies (logically) before truncating the WAL — the durable state a crash
@@ -172,7 +159,7 @@ class Database {
                                 bool* image_written = nullptr);
   /// Blocks until no background checkpoint is pending or being written.
   /// Tests and benches use it to make "a checkpoint has happened" a stable
-  /// assertion; a no-op when background_checkpoint is off.
+  /// assertion.
   void WaitForCheckpointIdle();
   uint64_t commit_count() const {
     return commit_count_.load(std::memory_order_relaxed);
@@ -218,8 +205,10 @@ class Database {
   void UnpinSnapshot(const storage::MvccSnapshot& snap);
 
   // ---- Access-path planner toggle ---------------------------------------
-  /// Runtime switch (PHX_INDEX_PLANNER default, benches flip it to compare
-  /// indexed vs unindexed execution on the same data).
+  /// Cost-aware access-path planner (secondary/PK index scans, index
+  /// nested-loop joins); on by default. Off = every SELECT seq-scans. The
+  /// ablation benches flip it to compare indexed vs unindexed execution on
+  /// the same data.
   bool index_planner_enabled() const {
     return index_planner_.load(std::memory_order_relaxed);
   }
@@ -237,9 +226,9 @@ class Database {
   friend class Cursor;
 
   /// Body of ExecuteStatement; caller holds data_mu_ (shared for read-only
-  /// statements, exclusive otherwise — can_checkpoint says which). Under
-  /// group commit a committing statement deposits its durability ticket in
-  /// `*ticket` instead of blocking on the sync inside the lock; the caller
+  /// statements, exclusive otherwise — can_checkpoint says which). A
+  /// committing statement deposits its durability ticket in `*ticket`
+  /// instead of blocking on the sync inside the lock; the caller
   /// MUST redeem it with durability_.WaitCommit() after releasing data_mu_
   /// and before reporting success (early lock release — the ack still waits
   /// for the fsync, but other sessions' commits can join the same batch).
@@ -282,9 +271,8 @@ class Database {
   Status WriteSnapshotSerialized(CheckpointSnapshot snap, bool truncate_wal,
                                  bool* wrote = nullptr);
   /// Auto-checkpoint entry (data_mu_ exclusive): snapshot + reset counter,
-  /// then either write inline (foreground mode) or hand the snapshot to the
-  /// checkpoint thread's single pending slot (a still-pending older
-  /// snapshot is superseded and counted as skipped).
+  /// then hand the snapshot to the checkpoint thread's single pending slot
+  /// (a still-pending older snapshot is superseded and counted as skipped).
   Status CheckpointLocked();
   void CheckpointThreadLoop();
   bool AnyActiveTxn() const;

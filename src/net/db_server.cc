@@ -242,9 +242,9 @@ Response DbServer::Dispatch(const Request& req) {
     }
     case Request::Kind::kExecScript: {
       // Commit-ack contract: the success Response is constructed only after
-      // ExecuteScript returns, and under group commit ExecuteScript does not
-      // return a committing statement's result until the commit's WAL batch
-      // sync status is known (Database::ExecuteStatement redeems the ticket
+      // ExecuteScript returns, and ExecuteScript does not return a
+      // committing statement's result until the commit's WAL batch sync
+      // status is known (Database::ExecuteStatement redeems the ticket
       // before reporting). Building any part of the reply earlier — or
       // treating an enqueued-but-unforced commit as success — would ack a
       // commit a crash can still lose.

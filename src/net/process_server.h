@@ -40,8 +40,8 @@ struct ProcessServerOptions {
   uint64_t checkpoint_every_n_commits = 0;
   /// Worker pool size for the child (0 = phoenixd default).
   uint64_t worker_threads = 0;
-  /// Extra environment for the child, e.g. {"PHX_GROUP_COMMIT","1"} — how a
-  /// chaos schedule pins the child's durability knobs deterministically.
+  /// Extra environment for the child, e.g. {"PHX_RECOVERY_THREADS","4"} —
+  /// how a chaos schedule pins the child's engine knobs deterministically.
   std::map<std::string, std::string> env;
   /// Rendezvous spec armed from birth (see kAdminRendezvous for the
   /// format); empty = none. Further specs can be armed at runtime via a

@@ -23,7 +23,8 @@
 //                       net/process_server.h kAdminRendezvous)
 //   PHX_RENDEZVOUS_TIMEOUT_MS  failsafe: how long a fired rendezvous blocks
 //                       waiting for the parent's SIGKILL before _exit(43)
-//   plus the standard PHX_* engine knobs (PHX_GROUP_COMMIT, PHX_CKPT_BG, …)
+//   plus the engine knobs of phoenix::Options (PHX_MVCC,
+//   PHX_RECOVERY_THREADS; see common/options.h)
 //
 // The boot counter: every boot reads <data_dir>/phxd.boot, increments it
 // durably, and hands out session ids from (boot#<<32). A process has no

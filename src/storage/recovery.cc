@@ -185,12 +185,11 @@ Status ApplyWalOp(const WalOp& op, TableStore* store) {
   }
 }
 
-DurabilityManager::DurabilityManager(SimDisk* disk, std::string prefix,
-                                     WalWriterConfig wal_config)
+DurabilityManager::DurabilityManager(SimDisk* disk, std::string prefix)
     : disk_(disk),
       wal_file_(prefix + ".wal"),
       ckpt_file_(prefix + ".ckpt"),
-      wal_writer_(disk, wal_file_, wal_config) {}
+      wal_writer_(disk, wal_file_) {}
 
 Status DurabilityManager::LogCommit(const WalCommitRecord& record) {
   return wal_writer_.AppendCommit(record);

@@ -65,8 +65,7 @@ Status ApplyWalOpToTable(Table* t, const WalOp& op);
 class DurabilityManager {
  public:
   /// Files used: "<prefix>.wal" and "<prefix>.ckpt" on `disk`.
-  DurabilityManager(SimDisk* disk, std::string prefix,
-                    WalWriterConfig wal_config = {});
+  DurabilityManager(SimDisk* disk, std::string prefix);
 
   Status LogCommit(const WalCommitRecord& record);
 

@@ -1,7 +1,5 @@
 #include "storage/wal.h"
 
-#include <chrono>
-
 #include "common/rng.h"
 #include "obs/metrics.h"
 
@@ -180,47 +178,19 @@ void CountAppend(size_t bytes) {
 
 }  // namespace
 
-WalWriterConfig WalWriterConfig::FromOptions(const phoenix::Options& opts) {
-  WalWriterConfig c;
-  c.group_commit = opts.group_commit;
-  c.dedicated_flusher = opts.gc_dedicated_flusher;
-  c.max_wait_us = opts.gc_max_wait_us;
-  c.max_batch_bytes = opts.gc_max_batch_bytes;
-  return c;
-}
-
 /// One group-commit batch. Joiners append their frames under the writer's
 /// mutex while the batch is open; once sealed the byte buffer is immutable
-/// (only the flusher reads it, outside the lock). done/status are published
-/// under the writer's mutex.
+/// (only the leader flushing it reads it, outside the lock). done/status
+/// are published under the writer's mutex.
 struct WalBatch {
   std::string bytes;
   uint64_t records = 0;
-  std::chrono::steady_clock::time_point opened_at;
   bool done = false;
   Status status;
 };
 
-WalWriter::WalWriter(SimDisk* disk, std::string file, WalWriterConfig config)
-    : disk_(disk), file_(std::move(file)), config_(config) {
-  if (config_.group_commit && config_.dedicated_flusher) {
-    flusher_ = std::thread([this] { FlusherLoop(); });
-  }
-}
-
-WalWriter::~WalWriter() {
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (flusher_.joinable()) flusher_.join();
-  // Records enqueued but never waited on die with the writer, exactly like
-  // an unsynced tail dies with the process. On an orderly shutdown none
-  // exist: every committer redeems its ticket before the engine lets go of
-  // the writer. A destructor must not add durability points — syncing here
-  // would let "crashed" state survive SimDisk::Crash() in fault tests.
-}
+WalWriter::WalWriter(SimDisk* disk, std::string file)
+    : disk_(disk), file_(std::move(file)) {}
 
 void WalWriter::set_before_sync_hook(std::function<bool()> hook) {
   std::lock_guard<std::mutex> lk(mu_);
@@ -248,42 +218,17 @@ Status WalWriter::AppendCommit(const WalCommitRecord& record) {
 WalCommitTicket WalWriter::EnqueueCommit(const WalCommitRecord& record) {
   // Framing happens under mu_ because the LSN is stamped into the frame:
   // LSN assignment order must equal byte order in the log (and in a batch),
-  // which only the lock can guarantee.
+  // which only the lock can guarantee. No notify: waiters sleep only while
+  // a flush is in flight, and its completion wakes them.
   WalCommitTicket ticket;
-  if (!config_.group_commit) {
-    std::lock_guard<std::mutex> lk(mu_);
-    ticket.resolved = true;
-    ticket.status = MaybeAmputateStaleTailLocked();
-    if (!ticket.status.ok()) return ticket;
-    std::string frame = FrameRecord(record, next_lsn_++);
-    CountAppend(frame.size());
-    ticket.status = disk_->Append(file_, std::move(frame));
-    if (ticket.status.ok()) ticket.status = SyncCounted();
-    return ticket;
-  }
   std::lock_guard<std::mutex> lk(mu_);
   std::string frame = FrameRecord(record, next_lsn_++);
   CountAppend(frame.size());
-  if (open_ == nullptr) {
-    open_ = std::make_shared<WalBatch>();
-    open_->opened_at = std::chrono::steady_clock::now();
-  }
+  if (open_ == nullptr) open_ = std::make_shared<WalBatch>();
   open_->bytes += frame;
   ++open_->records;
   ticket.batch = open_;
-  // Wake the flusher / a waiting leader: the batch may just have become
-  // ripe (size threshold), and a flusher idling on an empty pipeline needs
-  // to learn a batch now exists.
-  cv_.notify_all();
   return ticket;
-}
-
-bool WalWriter::OpenBatchRipeLocked() const {
-  if (open_ == nullptr || open_->records == 0) return false;
-  if (stop_) return true;
-  if (open_->bytes.size() >= config_.max_batch_bytes) return true;
-  return std::chrono::steady_clock::now() >=
-         open_->opened_at + std::chrono::microseconds(config_.max_wait_us);
 }
 
 void WalWriter::SealOpenBatchLocked() {
@@ -325,7 +270,7 @@ void WalWriter::FlushFrontLocked(std::unique_lock<std::mutex>& lk) {
   reg->GetHistogram("storage.wal.group_commit.batch_bytes",
                     {256, 1024, 4096, 16384, 65536, 262144, 1048576})
       ->Record(batch->bytes.size());
-  if (st.ok() && batch->records > 0) {
+  if (st.ok()) {
     reg->GetCounter("storage.wal.group_commit.syncs_saved")
         ->Increment(batch->records - 1);
   }
@@ -340,55 +285,35 @@ Status WalWriter::WaitCommit(WalCommitTicket* ticket) {
   if (ticket == nullptr || !*ticket) {
     return Status::Internal("WaitCommit on an empty commit ticket");
   }
-  if (ticket->resolved) return ticket->status;
   StopWatch watch;
   std::shared_ptr<WalBatch> b = std::move(ticket->batch);
+  Status status;
   {
     std::unique_lock<std::mutex> lk(mu_);
-    if (config_.dedicated_flusher) {
-      cv_.wait(lk, [&] { return b->done; });
-    } else {
-      // Leader mode: whichever waiter finds the device free drives the
-      // flush — first any older sealed batch (FIFO order), then, once its
-      // wait window has run out, its own. Progress never depends on a
-      // thread outside the waiter set.
-      while (!b->done) {
-        if (flush_in_progress_) {
-          cv_.wait(lk);
-          continue;
-        }
-        if (!sealed_.empty()) {
-          FlushFrontLocked(lk);
-          continue;
-        }
-        if (OpenBatchRipeLocked()) {
-          SealOpenBatchLocked();
-          continue;
-        }
-        // b is (in) the open batch and its window is still running: sleep
-        // until the deadline or a joiner makes it ripe early.
-        cv_.wait_until(lk, b->opened_at +
-                               std::chrono::microseconds(config_.max_wait_us));
+    // Whichever waiter finds the device free drives the flush — first any
+    // older sealed batch (FIFO order), then its own. Progress never depends
+    // on a thread outside the waiter set.
+    while (!b->done) {
+      if (flush_in_progress_) {
+        cv_.wait(lk);
+        continue;
       }
+      // Device free and nothing sealed: b is not done, not in flight and
+      // not queued, so it is the open batch — seal it.
+      if (sealed_.empty()) SealOpenBatchLocked();
+      FlushFrontLocked(lk);
     }
-    ticket->status = b->status;
+    status = b->status;
   }
-  ticket->resolved = true;
   obs::MetricsRegistry::Default()
       ->GetHistogram("storage.wal.group_commit.wait_us",
                      obs::Histogram::LatencyBoundsUs())
       ->Record(static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
-  return ticket->status;
+  return status;
 }
 
 void WalWriter::DrainLocked(std::unique_lock<std::mutex>& lk) {
-  if (open_ != nullptr) {
-    if (open_->records > 0) {
-      SealOpenBatchLocked();
-    } else {
-      open_ = nullptr;
-    }
-  }
+  if (open_ != nullptr) SealOpenBatchLocked();
   while (flush_in_progress_ || !sealed_.empty()) {
     if (!flush_in_progress_ && !sealed_.empty()) {
       FlushFrontLocked(lk);
@@ -402,7 +327,7 @@ Status WalWriter::AppendCommitNoSync(const WalCommitRecord& record) {
   std::unique_lock<std::mutex> lk(mu_);
   // Force pending batches first so on-disk frame order stays append order
   // even when an unforced append races an in-flight batch.
-  if (config_.group_commit) DrainLocked(lk);
+  DrainLocked(lk);
   PHX_RETURN_IF_ERROR(MaybeAmputateStaleTailLocked());
   std::string frame = FrameRecord(record, next_lsn_++);
   CountAppend(frame.size());
@@ -414,7 +339,7 @@ Status WalWriter::Reset() {
   // Every enqueued commit gets a real force status before the truncation;
   // the checkpoint that triggered the reset already subsumes their effects,
   // so forcing first is safe and keeps tickets from dangling.
-  if (config_.group_commit) DrainLocked(lk);
+  DrainLocked(lk);
   stale_tail_pending_ = false;  // superseded: the whole file goes away
   return disk_->WriteAtomic(file_, "");
 }
@@ -424,7 +349,7 @@ Status WalWriter::TruncateUpTo(uint64_t fence_lsn) {
   // Same drain rule as Reset(): every enqueued commit is forced (its waiter
   // gets the real sync status) before the cut is computed, so the scan sees
   // a stable durable file and no batch is ever half-amputated.
-  if (config_.group_commit) DrainLocked(lk);
+  DrainLocked(lk);
   PHX_RETURN_IF_ERROR(MaybeAmputateStaleTailLocked());
   if (!disk_->Exists(file_)) return Status::Ok();
   PHX_ASSIGN_OR_RETURN(std::string bytes, disk_->ReadDurable(file_));
@@ -481,32 +406,6 @@ Status WalWriter::MaybeAmputateStaleTailLocked() {
   }
   stale_tail_pending_ = false;
   return Status::Ok();
-}
-
-void WalWriter::FlusherLoop() {
-  std::unique_lock<std::mutex> lk(mu_);
-  for (;;) {
-    if (!sealed_.empty()) {
-      // Reset()/Drain can also be mid-flush; only one flusher at a time.
-      if (!flush_in_progress_) {
-        FlushFrontLocked(lk);
-      } else {
-        cv_.wait(lk);
-      }
-      continue;
-    }
-    if (OpenBatchRipeLocked()) {
-      SealOpenBatchLocked();
-      continue;
-    }
-    if (stop_) break;  // pipeline empty (or batch already being drained)
-    if (open_ != nullptr && open_->records > 0) {
-      cv_.wait_until(lk, open_->opened_at +
-                             std::chrono::microseconds(config_.max_wait_us));
-    } else {
-      cv_.wait(lk);
-    }
-  }
 }
 
 Status WalReader::ScanBytes(const std::string& bytes, WalScanStats* stats,

@@ -8,11 +8,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/codec.h"
-#include "common/options.h"
 #include "common/schema.h"
 #include "common/status.h"
 #include "storage/sim_disk.h"
@@ -76,65 +74,43 @@ struct WalCommitRecord {
 void EncodeWalOp(const WalOp& op, Encoder* enc);
 Result<WalOp> DecodeWalOp(Decoder* dec);
 
-/// Tuning knobs for WalWriter's group-commit pipeline (DESIGN.md §11).
-struct WalWriterConfig {
-  /// Off: every AppendCommit pays its own Sync() (the seed behavior). On:
-  /// committers join an in-memory batch that a single flusher writes and
-  /// forces with ONE Sync(), and each committer blocks until its batch's
-  /// real sync status is known (the ack-after-fsync contract).
-  bool group_commit = false;
-  /// A batch is flushed as soon as it reaches this many bytes, even if its
-  /// wait window has not expired.
-  size_t max_batch_bytes = 256 * 1024;
-  /// How long the flusher lets an open batch accumulate joiners before
-  /// forcing it. 0 = flush as soon as the device is free; batching still
-  /// emerges because commits arriving during an in-flight sync coalesce
-  /// into the next batch (no added latency for a lone committer).
-  uint64_t max_wait_us = 0;
-  /// Off (leader mode): the first committer waiting on a batch becomes its
-  /// leader and performs the write+sync itself — no extra thread. On: a
-  /// dedicated flusher thread owned by the WalWriter drives all batches.
-  bool dedicated_flusher = false;
-
-  /// Projection of the process-wide phoenix::Options (the single env-knob
-  /// loader; see common/options.h). Replaces the per-field getenv calls the
-  /// writer used to make — scripts/check_sanitizers.sh still flips whole
-  /// test lanes via PHX_GROUP_COMMIT / PHX_GC_* without code changes.
-  static WalWriterConfig FromOptions(const phoenix::Options& opts);
-};
-
 /// One in-memory group-commit batch (internal to WalWriter; opaque here).
 struct WalBatch;
 
 /// Handle for one enqueued commit record: resolves to the real sync status
 /// of the batch that carried the record. Obtained from EnqueueCommit(),
-/// redeemed — exactly once — with WaitCommit(). Empty tickets are falsy.
+/// redeemed — exactly once, which empties it — with WaitCommit(). Empty
+/// tickets are falsy.
 struct WalCommitTicket {
-  std::shared_ptr<WalBatch> batch;  ///< group-commit path (unresolved)
-  bool resolved = false;            ///< per-commit path / after WaitCommit
-  Status status;
+  std::shared_ptr<WalBatch> batch;  ///< the batch carrying the record
 
-  explicit operator bool() const { return resolved || batch != nullptr; }
+  explicit operator bool() const { return batch != nullptr; }
 };
 
 /// Appends framed, checksummed commit records to a SimDisk file and forces
 /// them durable before reporting success (write-ahead rule).
 ///
-/// Two durability pipelines, selected by WalWriterConfig::group_commit:
-///  - per-commit (default): each record's append+sync is atomic under an
-///    internal mutex, exactly the seed behavior.
-///  - group commit: EnqueueCommit() adds the framed record to the open
-///    batch and returns a ticket; WaitCommit() blocks until the batch has
-///    been written and forced with a single Sync(), then returns that
-///    sync's real status. Batches flush strictly in formation order, so
-///    the on-disk record order still equals commit order.
+/// Group commit (DESIGN.md §11): EnqueueCommit() adds the framed record to
+/// the open batch and returns a ticket; WaitCommit() blocks until the batch
+/// has been written and forced with a single Sync(), then returns that
+/// sync's real status. The first waiter to find the device free becomes the
+/// leader and flushes — no extra thread. A batch is flushed as soon as the
+/// device is free, so a lone committer pays no added latency; batching
+/// emerges because commits arriving during an in-flight sync coalesce into
+/// the next batch. Batches flush strictly in formation order, so the
+/// on-disk record order still equals commit order.
 ///
-/// Thread-safe in both modes; concurrent committers can never interleave
-/// frame bytes in the log.
+/// Thread-safe; concurrent committers can never interleave frame bytes in
+/// the log.
 class WalWriter {
  public:
-  WalWriter(SimDisk* disk, std::string file, WalWriterConfig config = {});
-  ~WalWriter();
+  WalWriter(SimDisk* disk, std::string file);
+  /// Records enqueued but never waited on die with the writer, exactly like
+  /// an unsynced tail dies with the process. On an orderly shutdown none
+  /// exist: every committer redeems its ticket before the engine lets go of
+  /// the writer. A destructor must not add durability points — syncing here
+  /// would let "crashed" state survive SimDisk::Crash() in fault tests.
+  ~WalWriter() = default;
   WalWriter(const WalWriter&) = delete;
   WalWriter& operator=(const WalWriter&) = delete;
 
@@ -142,36 +118,34 @@ class WalWriter {
   /// (EnqueueCommit + WaitCommit).
   Status AppendCommit(const WalCommitRecord& record);
 
-  /// Adds the record to the current batch (group mode) or performs the
-  /// whole append+sync immediately (per-commit mode). Never blocks on the
-  /// device in group mode, so callers may hold engine locks.
+  /// Adds the record to the open batch. Never blocks on the device, so
+  /// callers may hold engine locks.
   WalCommitTicket EnqueueCommit(const WalCommitRecord& record);
 
   /// Blocks until the ticket's batch is durable and returns the real sync
-  /// status. In leader mode the caller may perform the flush itself. Must
-  /// not be called while holding locks the engine's commit path needs —
-  /// releasing them first is the whole point of group commit.
+  /// status. The caller may perform the flush itself. Must not be called
+  /// while holding locks the engine's commit path needs — releasing them
+  /// first is the whole point of group commit.
   Status WaitCommit(WalCommitTicket* ticket);
 
-  /// Appends without syncing (used to test loss of unforced commits). In
-  /// group mode any pending batches are forced first so frame order on
-  /// disk stays append order.
+  /// Appends without syncing (used to test loss of unforced commits). Any
+  /// pending batches are forced first so frame order on disk stays append
+  /// order.
   Status AppendCommitNoSync(const WalCommitRecord& record);
 
   /// Truncates the log (after a checkpoint made its contents redundant).
-  /// In group mode every enqueued commit is forced — its waiters get a
-  /// real sync status — before the truncation, so no ticket ever dangles
-  /// across a checkpoint.
+  /// Every enqueued commit is forced — its waiters get a real sync status —
+  /// before the truncation, so no ticket ever dangles across a checkpoint.
   Status Reset();
 
   /// Amputates the fenced prefix: every frame with lsn <= fence_lsn is
   /// removed, frames past the fence are kept verbatim. The non-quiescent
   /// checkpoint truncation — commits that raced the checkpoint image sit
-  /// past the fence and must survive. In group mode pending batches are
-  /// drained first (their waiters get real sync statuses and their frames
-  /// land before the cut is computed), exactly like Reset(); commits that
-  /// enqueue *during* the truncation carry post-fence LSNs and are appended
-  /// after the rewrite, so order stays monotone.
+  /// past the fence and must survive. Pending batches are drained first
+  /// (their waiters get real sync statuses and their frames land before the
+  /// cut is computed), exactly like Reset(); commits that enqueue *during*
+  /// the truncation carry post-fence LSNs and are appended after the
+  /// rewrite, so order stays monotone.
   Status TruncateUpTo(uint64_t fence_lsn);
 
   /// LSN of the most recently enqueued record (0 = none yet). Under the
@@ -191,7 +165,6 @@ class WalWriter {
   void NoteValidPrefix(uint64_t bytes_valid);
 
   const std::string& file() const { return file_; }
-  const WalWriterConfig& config() const { return config_; }
 
   /// Test-only crash window: invoked between a batch's Append and its
   /// Sync. Returning false simulates the process dying in that window —
@@ -210,7 +183,6 @@ class WalWriter {
   /// failure the pending mark is kept so the append is not built on top of
   /// garbage bytes.
   Status MaybeAmputateStaleTailLocked();
-  bool OpenBatchRipeLocked() const;
   void SealOpenBatchLocked();
   /// Pops and flushes the oldest sealed batch. Drops `lk` for the device
   /// I/O and reacquires it to publish the result.
@@ -218,20 +190,16 @@ class WalWriter {
   /// Forces every enqueued commit (open or sealed) and waits for in-flight
   /// flushes; on return the pipeline is empty and `lk` is held.
   void DrainLocked(std::unique_lock<std::mutex>& lk);
-  void FlusherLoop();
 
   SimDisk* disk_;
   std::string file_;
-  WalWriterConfig config_;
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::shared_ptr<WalBatch> open_;             ///< accepting joiners
   std::deque<std::shared_ptr<WalBatch>> sealed_;  ///< FIFO, awaiting flush
   bool flush_in_progress_ = false;
-  bool stop_ = false;
   std::function<bool()> before_sync_hook_;
-  std::thread flusher_;
 
   /// Next LSN to hand out; LSNs are assigned under mu_ at enqueue time so
   /// assignment order == batch-join order == on-disk frame order.

@@ -127,9 +127,8 @@ TEST(ChaosMatrix, ConcurrentCheckpointSchedules) {
   // keeps the snapshot/image/truncate pipeline hot while the workload's
   // writers commit and its cursors scan, and the schedule dies at one of the
   // three crash points of the split protocol (chosen by sub_seed % 3:
-  // pre-snapshot, post-snapshot, post-image). Even seeds pin the background
-  // writer thread on, odd seeds pin the stop-the-world path, so both modes
-  // face every crash window regardless of the PHX_CKPT_BG lane.
+  // pre-snapshot, post-snapshot, post-image). Every seed runs the background
+  // checkpoint thread, the only checkpoint path.
   uint64_t images = 0;
   uint64_t skipped = 0;
   uint64_t recoveries = 0;
@@ -139,7 +138,6 @@ TEST(ChaosMatrix, ConcurrentCheckpointSchedules) {
     opts.n_ops = 50;
     opts.n_faults = 3;
     opts.checkpoint_every_n_commits = 4;
-    opts.background_checkpoint = (seed % 2 == 0);
     opts.allow_partial_flush = false;
     opts.allow_torn = false;
     opts.allow_recovery_crash = false;
@@ -200,19 +198,17 @@ TEST(ChaosMatrix, MixedFaultSchedules) {
 }
 
 TEST(ChaosMatrix, GroupCommitSchedules) {
-  // The full fault zoo with the WAL group-commit pipeline forced on (even
-  // seeds leader mode, odd seeds dedicated flusher). Crashes now land
-  // between a batch's coalesced append and its single sync — the oracle's
-  // durability invariant (no acked commit ever lost, no unacked commit
-  // ever claimed) is exactly the ack-after-fsync contract under test.
+  // The full fault zoo against the WAL group-commit pipeline (leader mode,
+  // the only pipeline; every seed runs it). Crashes land between a batch's
+  // coalesced append and its single sync — the oracle's durability
+  // invariant (no acked commit ever lost, no unacked commit ever claimed)
+  // is exactly the ack-after-fsync contract under test.
   uint64_t recoveries = 0;
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     ChaosOptions opts;
     opts.seed = 11000 + seed;
     opts.n_ops = 50;
     opts.n_faults = 4;
-    opts.group_commit = true;
-    opts.gc_flusher = (seed % 2 == 1);
     opts.checkpoint_every_n_commits = (seed % 4 == 0) ? 6 : 0;
     ChaosReport r = RunAndCheck(opts);
     recoveries += r.recoveries;

@@ -1,9 +1,16 @@
 // Unit tests for the common kernel: Status/Result, Value semantics, Schema
-// coercion, the byte codec, dates, and the deterministic Rng.
+// coercion, the byte codec, dates, the deterministic Rng, and the PHX_* env
+// loader.
 
+#include <cstdlib>
+#include <map>
+#include <optional>
 #include <set>
+#include <string>
+#include <vector>
 
 #include "common/codec.h"
+#include "common/options.h"
 #include "common/rng.h"
 #include "common/schema.h"
 #include "common/status.h"
@@ -349,6 +356,58 @@ TEST(StopWatch, MeasuresElapsed) {
   volatile double sink = 0;
   for (int i = 0; i < 100000; ++i) sink += i;
   EXPECT_GT(w.ElapsedSeconds(), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Options::FromEnv
+// ---------------------------------------------------------------------------
+
+/// Sets PHX_* variables for one test and restores the previous environment
+/// (set or unset) on scope exit, so the test leaves no trace on the lane.
+class ScopedEnv {
+ public:
+  ~ScopedEnv() {
+    for (const auto& [name, old] : saved_) {
+      if (old.has_value()) {
+        ::setenv(name.c_str(), old->c_str(), 1);
+      } else {
+        ::unsetenv(name.c_str());
+      }
+    }
+  }
+  void Set(const std::string& name, const std::string& value) {
+    if (saved_.count(name) == 0) {
+      const char* old = std::getenv(name.c_str());
+      saved_[name] = old ? std::optional<std::string>(old) : std::nullopt;
+    }
+    ::setenv(name.c_str(), value.c_str(), 1);
+  }
+
+ private:
+  std::map<std::string, std::optional<std::string>> saved_;
+};
+
+TEST(Options, FromEnvParsesKnobs) {
+  ScopedEnv env;
+  env.Set("PHX_MVCC", "0");
+  env.Set("PHX_RECOVERY_THREADS", "0");  // clamped: replay needs a thread
+  env.Set("PHX_TRANSPORT", "carrier-pigeon");  // unknown: fail safe
+  env.Set("PHX_ENDPOINTS", "a,,b,");           // empty entries dropped
+  env.Set("PHX_RPC_TIMEOUT_MS", "1234");
+  Options o = Options::FromEnv();
+  EXPECT_FALSE(o.mvcc);
+  EXPECT_EQ(o.recovery_threads, 1u);
+  EXPECT_EQ(o.transport, Transport::kInproc);
+  EXPECT_EQ(o.endpoints, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(o.rpc_timeout_ms, 1234u);
+
+  env.Set("PHX_MVCC", "1");
+  env.Set("PHX_RECOVERY_THREADS", "4");
+  env.Set("PHX_TRANSPORT", "tcp");
+  o = Options::FromEnv();
+  EXPECT_TRUE(o.mvcc);
+  EXPECT_EQ(o.recovery_threads, 4u);
+  EXPECT_EQ(o.transport, Transport::kTcp);
 }
 
 }  // namespace

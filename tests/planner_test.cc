@@ -52,9 +52,6 @@ class PlannerTest : public ::testing::Test {
   void Start() {
     db_ = std::make_unique<Database>(&disk_);
     ASSERT_TRUE(db_->Open().ok());
-    // Pin the planner on regardless of the PHX_INDEX_PLANNER lane; the
-    // planner-off tests toggle it per-query.
-    db_->set_index_planner(true);
     sid_ = *db_->CreateSession("t");
   }
 

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -303,10 +304,8 @@ TEST(RecoveryRegression, CrashAfterSnapshotBeforeImageReplaysFullWal) {
 // append) would claim a commit the crash then erases.
 TEST(GroupCommitRegression, CrashBetweenBatchAppendAndSyncNeverAcks) {
   storage::SimDisk disk;
-  eng::DatabaseOptions dopts;
-  dopts.wal.group_commit = true;
   {
-    eng::Database db(&disk, dopts);
+    eng::Database db(&disk);
     PHX_ASSERT_OK(db.Open());
     auto sid = db.CreateSession("app");
     PHX_ASSERT_OK_RESULT(sid);
@@ -322,7 +321,7 @@ TEST(GroupCommitRegression, CrashBetweenBatchAppendAndSyncNeverAcks) {
   }
   disk.Crash();  // the unsynced batch bytes vanish
 
-  eng::Database after(&disk, dopts);
+  eng::Database after(&disk);
   PHX_ASSERT_OK(after.Open());
   auto sid = after.CreateSession("verify");
   PHX_ASSERT_OK_RESULT(sid);
@@ -334,86 +333,133 @@ TEST(GroupCommitRegression, CrashBetweenBatchAppendAndSyncNeverAcks) {
       << "un-acked commit reappeared after the crash";
 }
 
+// Early lock release is the default commit path: a commit waits for its WAL
+// fsync only after dropping the exclusive data lock, so a plain SELECT on
+// another session is never stuck behind someone else's fsync. Before group
+// commit became the only pipeline, the default synced inside the lock and
+// the reader below waited for the whole parked fsync.
+TEST(GroupCommitRegression, ReaderNotBlockedByCommitInFsync) {
+  storage::SimDisk disk;
+  eng::Database db(&disk);
+  PHX_ASSERT_OK(db.Open());
+  auto a = db.CreateSession("a");
+  auto b = db.CreateSession("b");
+  PHX_ASSERT_OK_RESULT(a);
+  PHX_ASSERT_OK_RESULT(b);
+  PHX_ASSERT_OK(
+      db.ExecuteScript(*a, "CREATE TABLE T (K INTEGER PRIMARY KEY)").status());
+
+  // Park the next WAL fsync until the test releases it.
+  std::atomic<bool> armed{true};
+  std::promise<void> parked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  storage::DiskHooks hooks;
+  hooks.pre_sync = [&](const std::string&, uint64_t, size_t tail_bytes) {
+    if (armed.exchange(false)) {
+      parked.set_value();
+      released.wait();
+    }
+    return tail_bytes;
+  };
+  disk.set_hooks(hooks);
+
+  auto insert = std::async(std::launch::async, [&] {
+    return db.ExecuteScript(*a, "INSERT INTO T VALUES (1)").status();
+  });
+  if (parked.get_future().wait_for(std::chrono::seconds(5)) !=
+      std::future_status::ready) {
+    armed = false;
+    release.set_value();
+    FAIL() << "the INSERT never reached its WAL fsync";
+  }
+  auto select = std::async(std::launch::async, [&] {
+    return db.ExecuteScript(*b, "SELECT K FROM T").status();
+  });
+  bool select_done =
+      select.wait_for(std::chrono::seconds(1)) == std::future_status::ready;
+  release.set_value();
+  EXPECT_TRUE(select_done)
+      << "SELECT blocked while another session's commit was in fsync";
+  PHX_EXPECT_OK(select.get());
+  PHX_EXPECT_OK(insert.get());  // acked only once the fsync returned
+  disk.set_hooks({});
+}
+
 // Load test of the same contract through the full server stack: many client
 // threads commit through coalesced batches while the server is killed.
 // Every INSERT the clients saw succeed must be present after restart.
 TEST(GroupCommitRegression, AckedCommitsSurviveServerCrashUnderLoad) {
-  for (int flusher = 0; flusher <= 1; ++flusher) {
-    net::ServerOptions sopts;
-    sopts.db.wal.group_commit = true;
-    sopts.db.wal.dedicated_flusher = flusher == 1;
-    sopts.worker_threads = 8;
-    TestCluster cluster(sopts);
-    // Real fsync service time so batches actually coalesce under load.
-    cluster.disk.set_sync_latency_us(100);
+  net::ServerOptions sopts;
+  sopts.worker_threads = 8;
+  TestCluster cluster(sopts);
+  // Real fsync service time so batches actually coalesce under load.
+  cluster.disk.set_sync_latency_us(100);
 
-    auto connect_req = [](const std::string& user) {
-      net::Request r;
-      r.kind = net::Request::Kind::kConnect;
-      r.user = user;
-      return r;
-    };
-    auto exec_req = [](uint64_t sid, std::string sql) {
-      net::Request r;
-      r.kind = net::Request::Kind::kExecScript;
-      r.session_id = sid;
-      r.sql = std::move(sql);
-      return r;
-    };
+  auto connect_req = [](const std::string& user) {
+    net::Request r;
+    r.kind = net::Request::Kind::kConnect;
+    r.user = user;
+    return r;
+  };
+  auto exec_req = [](uint64_t sid, std::string sql) {
+    net::Request r;
+    r.kind = net::Request::Kind::kExecScript;
+    r.session_id = sid;
+    r.sql = std::move(sql);
+    return r;
+  };
 
-    {
+  {
+    auto chan = cluster.network.Connect("testdb").take();
+    auto conn = chan->RoundTrip(connect_req("ddl"));
+    ASSERT_TRUE(conn.ok());
+    auto r = chan->RoundTrip(
+        exec_req(conn->session_id, "CREATE TABLE L (K INTEGER PRIMARY KEY)"));
+    ASSERT_TRUE(r.ok() && r->ToStatus().ok());
+  }
+
+  constexpr int kThreads = 8;
+  std::mutex acked_mu;
+  std::vector<int> acked;
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
       auto chan = cluster.network.Connect("testdb").take();
-      auto conn = chan->RoundTrip(connect_req("ddl"));
-      ASSERT_TRUE(conn.ok());
-      auto r = chan->RoundTrip(exec_req(conn->session_id,
-                                        "CREATE TABLE L (K INTEGER PRIMARY "
-                                        "KEY)"));
-      ASSERT_TRUE(r.ok() && r->ToStatus().ok());
-    }
-
-    constexpr int kThreads = 8;
-    std::mutex acked_mu;
-    std::vector<int> acked;
-    std::atomic<bool> stop{false};
-    std::vector<std::thread> threads;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&, t] {
-        auto chan = cluster.network.Connect("testdb").take();
-        auto conn = chan->RoundTrip(connect_req("w" + std::to_string(t)));
-        if (!conn.ok() || !conn->ToStatus().ok()) return;
-        for (int i = 0; !stop.load(); ++i) {
-          int key = t * 100000 + i;
-          auto r = chan->RoundTrip(exec_req(
-              conn->session_id,
-              "INSERT INTO L VALUES (" + std::to_string(key) + ")"));
-          if (r.ok() && r->ToStatus().ok()) {
-            std::lock_guard<std::mutex> lk(acked_mu);
-            acked.push_back(key);
-          } else {
-            break;  // server crashed under us; this commit was NOT acked
-          }
+      auto conn = chan->RoundTrip(connect_req("w" + std::to_string(t)));
+      if (!conn.ok() || !conn->ToStatus().ok()) return;
+      for (int i = 0; !stop.load(); ++i) {
+        int key = t * 100000 + i;
+        auto r = chan->RoundTrip(exec_req(
+            conn->session_id,
+            "INSERT INTO L VALUES (" + std::to_string(key) + ")"));
+        if (r.ok() && r->ToStatus().ok()) {
+          std::lock_guard<std::mutex> lk(acked_mu);
+          acked.push_back(key);
+        } else {
+          break;  // server crashed under us; this commit was NOT acked
         }
-      });
-    }
-    // Let commits coalesce, then kill the server mid-stream.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    cluster.server.Crash();
-    stop.store(true);
-    for (auto& th : threads) th.join();
+      }
+    });
+  }
+  // Let commits coalesce, then kill the server mid-stream.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  cluster.server.Crash();
+  stop.store(true);
+  for (auto& th : threads) th.join();
 
-    PHX_ASSERT_OK(cluster.server.Restart());
-    eng::Database* db = cluster.server.database();
-    auto sid = db->CreateSession("verify");
-    PHX_ASSERT_OK_RESULT(sid);
-    auto res = db->ExecuteScript(*sid, "SELECT K FROM L ORDER BY K");
-    PHX_ASSERT_OK_RESULT(res);
-    std::set<int64_t> recovered;
-    for (const Row& row : res->at(0).rows) recovered.insert(row[0].AsInt64());
-    ASSERT_FALSE(acked.empty()) << "no commit was ever acked before the crash";
-    for (int key : acked) {
-      EXPECT_TRUE(recovered.count(key))
-          << "acked commit " << key << " vanished (flusher=" << flusher << ")";
-    }
+  PHX_ASSERT_OK(cluster.server.Restart());
+  eng::Database* db = cluster.server.database();
+  auto sid = db->CreateSession("verify");
+  PHX_ASSERT_OK_RESULT(sid);
+  auto res = db->ExecuteScript(*sid, "SELECT K FROM L ORDER BY K");
+  PHX_ASSERT_OK_RESULT(res);
+  std::set<int64_t> recovered;
+  for (const Row& row : res->at(0).rows) recovered.insert(row[0].AsInt64());
+  ASSERT_FALSE(acked.empty()) << "no commit was ever acked before the crash";
+  for (int key : acked) {
+    EXPECT_TRUE(recovered.count(key)) << "acked commit " << key << " vanished";
   }
 }
 

@@ -3,7 +3,6 @@
 #include "storage/wal.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -512,23 +511,9 @@ TEST(Wal, SyncFailureNotCountedAsDurableForce) {
 
 // ---- Group commit ------------------------------------------------------
 
-WalWriterConfig GroupConfig(bool flusher) {
-  WalWriterConfig c;
-  c.group_commit = true;
-  c.dedicated_flusher = flusher;
-  return c;
-}
-
-class WalGroupCommit : public ::testing::TestWithParam<bool> {};
-
-INSTANTIATE_TEST_SUITE_P(Modes, WalGroupCommit, ::testing::Bool(),
-                         [](const auto& info) {
-                           return info.param ? "Flusher" : "Leader";
-                         });
-
-TEST_P(WalGroupCommit, SingleWriterRoundTrip) {
+TEST(WalGroupCommit, SingleWriterRoundTrip) {
   SimDisk disk;
-  WalWriter writer(&disk, "x.wal", GroupConfig(GetParam()));
+  WalWriter writer(&disk, "x.wal");
   for (uint64_t i = 1; i <= 10; ++i) {
     ASSERT_TRUE(writer.AppendCommit(SampleCommit(i)).ok());
   }
@@ -539,12 +524,12 @@ TEST_P(WalGroupCommit, SingleWriterRoundTrip) {
   for (uint64_t i = 0; i < 10; ++i) EXPECT_EQ((*records)[i].txn_id, i + 1);
 }
 
-TEST_P(WalGroupCommit, ConcurrentWritersNeverInterleaveFrames) {
+TEST(WalGroupCommit, ConcurrentWritersNeverInterleaveFrames) {
   SimDisk disk;
   // Sync latency makes commits pile up behind the in-flight flush, so real
   // multi-record batches form (the opportunistic-batching mechanism).
   disk.set_sync_latency_us(100);
-  WalWriter writer(&disk, "x.wal", GroupConfig(GetParam()));
+  WalWriter writer(&disk, "x.wal");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 20;
   std::vector<std::thread> threads;
@@ -577,14 +562,14 @@ TEST_P(WalGroupCommit, ConcurrentWritersNeverInterleaveFrames) {
             static_cast<uint64_t>(kThreads * kPerThread));
 }
 
-TEST_P(WalGroupCommit, CrashTornInsideCoalescedBatch) {
+TEST(WalGroupCommit, CrashTornInsideCoalescedBatch) {
   // A coalesced batch is appended but the process dies before its sync; the
   // torn crash then cuts the batch at an arbitrary byte — possibly in the
   // middle of an inner frame. Recovery must yield a clean prefix, and no
   // commit in the batch was ever acked (the hook fails them all).
   for (uint64_t seed = 1; seed <= 10; ++seed) {
     SimDisk disk;
-    WalWriter writer(&disk, "x.wal", GroupConfig(GetParam()));
+    WalWriter writer(&disk, "x.wal");
     writer.set_before_sync_hook([] { return false; });  // die before sync
     constexpr int kThreads = 6;
     std::vector<std::thread> threads;
@@ -612,9 +597,9 @@ TEST_P(WalGroupCommit, CrashTornInsideCoalescedBatch) {
   }
 }
 
-TEST_P(WalGroupCommit, ResetForcesPendingBatchBeforeTruncating) {
+TEST(WalGroupCommit, ResetForcesPendingBatchBeforeTruncating) {
   SimDisk disk;
-  WalWriter writer(&disk, "x.wal", GroupConfig(GetParam()));
+  WalWriter writer(&disk, "x.wal");
   // Enqueue without redeeming: the batch may still be open when Reset runs.
   std::vector<WalCommitTicket> tickets;
   for (uint64_t i = 1; i <= 3; ++i) {
@@ -630,10 +615,10 @@ TEST_P(WalGroupCommit, ResetForcesPendingBatchBeforeTruncating) {
   EXPECT_TRUE(records->empty());
 }
 
-TEST_P(WalGroupCommit, SyncFailureFailsWholeBatchAndNothingIsAcked) {
+TEST(WalGroupCommit, SyncFailureFailsWholeBatchAndNothingIsAcked) {
   SimDisk disk;
   disk.set_sync_latency_us(100);
-  WalWriter writer(&disk, "x.wal", GroupConfig(GetParam()));
+  WalWriter writer(&disk, "x.wal");
   disk.InjectSyncFailures(1);
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
@@ -668,50 +653,30 @@ TEST_P(WalGroupCommit, SyncFailureFailsWholeBatchAndNothingIsAcked) {
   }
 }
 
-TEST(WalGroupCommitConfig, FromEnvParsesToggles) {
-  // Exercise the typed Options loader via the documented env names (values
-  // restored); FromOptions carries them into the WAL config.
-  setenv("PHX_GROUP_COMMIT", "1", 1);
-  setenv("PHX_GC_FLUSHER", "1", 1);
-  setenv("PHX_GC_MAX_WAIT_US", "250", 1);
-  setenv("PHX_GC_MAX_BATCH_BYTES", "4096", 1);
-  WalWriterConfig c = WalWriterConfig::FromOptions(phoenix::Options::FromEnv());
-  EXPECT_TRUE(c.group_commit);
-  EXPECT_TRUE(c.dedicated_flusher);
-  EXPECT_EQ(c.max_wait_us, 250u);
-  EXPECT_EQ(c.max_batch_bytes, 4096u);
-  unsetenv("PHX_GROUP_COMMIT");
-  unsetenv("PHX_GC_FLUSHER");
-  unsetenv("PHX_GC_MAX_WAIT_US");
-  unsetenv("PHX_GC_MAX_BATCH_BYTES");
-  WalWriterConfig d = WalWriterConfig::FromOptions(phoenix::Options::FromEnv());
-  EXPECT_FALSE(d.group_commit);
-  EXPECT_FALSE(d.dedicated_flusher);
-}
-
-TEST(WalGroupCommit, BatchWindowCoalescesCommits) {
-  // With a generous wait window and no device pressure, commits from many
-  // threads land in very few batches — syncs_saved counts the difference.
+TEST(WalGroupCommit, EnqueuedCommitsShareOneSync) {
+  // Records enqueued before anyone waits all join the one open batch, so
+  // the first WaitCommit forces all of them with a single Sync() and the
+  // other tickets redeem without touching the device.
   auto* reg = obs::MetricsRegistry::Default();
   uint64_t saved0 =
       reg->GetCounter("storage.wal.group_commit.syncs_saved")->Value();
   SimDisk disk;
-  WalWriterConfig cfg = GroupConfig(/*flusher=*/true);
-  cfg.max_wait_us = 20'000;
-  WalWriter writer(&disk, "x.wal", cfg);
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      ASSERT_TRUE(writer.AppendCommit(SampleCommit(1 + t)).ok());
-    });
+  WalWriter writer(&disk, "x.wal");
+  uint64_t syncs0 = disk.sync_count();
+  constexpr int kRecords = 8;
+  std::vector<WalCommitTicket> tickets;
+  for (uint64_t i = 1; i <= kRecords; ++i) {
+    tickets.push_back(writer.EnqueueCommit(SampleCommit(i)));
   }
-  for (auto& th : threads) th.join();
-  EXPECT_GT(reg->GetCounter("storage.wal.group_commit.syncs_saved")->Value(),
-            saved0);
+  for (auto& t : tickets) ASSERT_TRUE(writer.WaitCommit(&t).ok());
+  EXPECT_EQ(disk.sync_count(), syncs0 + 1);
+  EXPECT_EQ(reg->GetCounter("storage.wal.group_commit.syncs_saved")->Value(),
+            saved0 + kRecords - 1);
+  disk.Crash();
   auto records = WalReader::ReadAll(disk, "x.wal");
   ASSERT_TRUE(records.ok());
-  EXPECT_EQ(records->size(), static_cast<size_t>(kThreads));
+  ASSERT_EQ(records->size(), static_cast<size_t>(kRecords));
+  for (int i = 0; i < kRecords; ++i) EXPECT_EQ((*records)[i].txn_id, i + 1u);
 }
 
 }  // namespace
