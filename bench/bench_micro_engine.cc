@@ -93,6 +93,43 @@ void BM_ScanFilter(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanFilter);
 
+/// EngineFixture with T filled to `rows` rows, K = 0..rows-1.
+void FillT(EngineFixture* fx, int rows) {
+  std::string values;
+  for (int i = 0; i < rows; ++i) {
+    if (i) values += ", ";
+    values += "(" + std::to_string(i) + ", 0.0)";
+  }
+  (void)fx->db.ExecuteScript(fx->sid, "INSERT INTO T VALUES " + values);
+}
+
+// The keyed autocommit write Phoenix wraps every application DML in; the
+// PK probe keeps it independent of the table size.
+void BM_UpdateByPk(benchmark::State& state) {
+  EngineFixture fx;
+  FillT(&fx, 20000);
+  int64_t k = 0;
+  for (auto _ : state) {
+    auto r = fx.db.ExecuteScript(
+        fx.sid, "UPDATE T SET V = V + 1 WHERE K = " +
+                    std::to_string(k++ % 20000));
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_UpdateByPk);
+
+void BM_DeleteByPkMiss(benchmark::State& state) {
+  EngineFixture fx;
+  FillT(&fx, 20000);
+  for (auto _ : state) {
+    auto r = fx.db.ExecuteScript(fx.sid, "DELETE FROM T WHERE K = 20000");
+    benchmark::DoNotOptimize(r);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DeleteByPkMiss);
+
 void BM_HashJoin(benchmark::State& state) {
   EngineFixture fx;
   (void)fx.db.ExecuteScript(

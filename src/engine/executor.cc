@@ -6,6 +6,7 @@
 
 #include "engine/database.h"
 #include "engine/planner.h"
+#include "obs/metrics.h"
 
 namespace phoenix::eng {
 
@@ -272,6 +273,53 @@ Result<StatementResult> Executor::Execute(const Statement& stmt) {
   return Status::Internal("bad statement kind");
 }
 
+bool Executor::ProbeAccessPath(const storage::Table& t, const AccessPath& path,
+                               const storage::MvccSnapshot* snap,
+                               std::vector<storage::RowId>* rids) const {
+  if (path.kind == AccessKind::kSeqScan) return false;
+  // The bound expressions are row-invariant; any that fails to evaluate
+  // sends the caller back to the heap scan.
+  IndexBounds ib;
+  Value lo_v, hi_v;
+  EvalEnv env0 = MakeEnv(nullptr, nullptr, nullptr);
+  for (const Expr* e : path.eq) {
+    auto v = EvalExpr(*e, env0);
+    if (!v.ok()) return false;
+    ib.eq.push_back(v.take());
+  }
+  if (path.lo != nullptr) {
+    auto v = EvalExpr(*path.lo, env0);
+    if (!v.ok()) return false;
+    lo_v = v.take();
+    ib.lo = &lo_v;
+    ib.lo_inclusive = path.lo_inclusive;
+  }
+  if (path.hi != nullptr) {
+    auto v = EvalExpr(*path.hi, env0);
+    if (!v.ok()) return false;
+    hi_v = v.take();
+    ib.hi = &hi_v;
+    ib.hi_inclusive = path.hi_inclusive;
+  }
+  if (path.index == "PRIMARY") {
+    ScanPkIndex(t, ib, rids);
+    if (snap != nullptr) ScanEntryMap(t.mvcc_dead_pk(), ib, rids);
+  } else if (const storage::SecondaryIndex* idx = t.FindIndex(path.index)) {
+    ScanIndex(*idx, ib, rids);
+    if (snap != nullptr) ScanEntryMap(idx->dead_entries, ib, rids);
+  } else {
+    return false;  // index dropped since planning
+  }
+  if (snap != nullptr) {
+    // The dead-entry maps are conservative (a rid may also still be live,
+    // or carry several superseded keys): dedup by rid and fall back to
+    // RowId order; the snapshot resolver decides visibility per rid.
+    std::sort(rids->begin(), rids->end());
+    rids->erase(std::unique(rids->begin(), rids->end()), rids->end());
+  }
+  return true;
+}
+
 Result<BoundRows> Executor::EvaluateFrom(const SelectStmt& sel) {
   BoundRows out;
   if (sel.from.empty()) {
@@ -381,71 +429,18 @@ Result<BoundRows> Executor::EvaluateFrom(const SelectStmt& sel) {
       return true;
     };
     bool used_index = false;
-    if (path != nullptr && path->kind != AccessKind::kSeqScan) {
-      // Evaluate the bound expressions (all row-invariant). Any failure
-      // just falls back to the sequential scan below.
-      IndexBounds ib;
-      Value lo_v, hi_v;
-      bool ok = true;
-      EvalEnv env0 = MakeEnv(nullptr, nullptr, nullptr);
-      for (const Expr* e : path->eq) {
-        auto v = EvalExpr(*e, env0);
-        if (!v.ok()) {
-          ok = false;
-          break;
-        }
-        ib.eq.push_back(v.take());
-      }
-      if (ok && path->lo != nullptr) {
-        auto v = EvalExpr(*path->lo, env0);
-        if (v.ok()) {
-          lo_v = v.take();
-          ib.lo = &lo_v;
-          ib.lo_inclusive = path->lo_inclusive;
-        } else {
-          ok = false;
-        }
-      }
-      if (ok && path->hi != nullptr) {
-        auto v = EvalExpr(*path->hi, env0);
-        if (v.ok()) {
-          hi_v = v.take();
-          ib.hi = &hi_v;
-          ib.hi_inclusive = path->hi_inclusive;
-        } else {
-          ok = false;
-        }
-      }
+    if (path != nullptr) {
       const storage::MvccSnapshot* snap = snap_for(b.table);
       std::vector<storage::RowId> rids;
-      if (ok) {
-        if (path->index == "PRIMARY") {
-          ScanPkIndex(*b.table, ib, &rids);
-          if (snap != nullptr) {
-            ScanEntryMap(b.table->mvcc_dead_pk(), ib, &rids);
-          }
-        } else if (const storage::SecondaryIndex* idx =
-                       b.table->FindIndex(path->index)) {
-          ScanIndex(*idx, ib, &rids);
-          if (snap != nullptr) ScanEntryMap(idx->dead_entries, ib, &rids);
-        } else {
-          ok = false;  // index dropped since planning
-        }
-      }
-      if (ok) {
+      if (ProbeAccessPath(*b.table, *path, snap, &rids)) {
         used_index = true;
-        if (snap != nullptr) {
-          // The dead-entry maps are conservative (a rid may also still be
-          // live, or carry several superseded keys): dedup by rid and fall
-          // back to RowId order; the snapshot resolver below decides
-          // visibility per rid.
-          std::sort(rids.begin(), rids.end());
-          rids.erase(std::unique(rids.begin(), rids.end()), rids.end());
-        } else if (!key_order) {
-          // Preserve the heap's historical RowId enumeration order.
-          std::sort(rids.begin(), rids.end());
-        } else if (reverse) {
-          std::reverse(rids.begin(), rids.end());
+        if (snap == nullptr) {
+          if (!key_order) {
+            // Preserve the heap's historical RowId enumeration order.
+            std::sort(rids.begin(), rids.end());
+          } else if (reverse) {
+            std::reverse(rids.begin(), rids.end());
+          }
         }
         for (storage::RowId rid : rids) {
           const Row* row;
@@ -1120,6 +1115,63 @@ Result<StatementResult> Executor::ExecuteInsert(const sql::InsertStmt& ins) {
   return StatementResult::Affected(inserted);
 }
 
+AccessPath Executor::PlanDml(const storage::Table& t,
+                            const std::string& binding,
+                            const Expr* where) const {
+  std::vector<const Expr*> conjuncts;
+  SplitConjuncts(where, &conjuncts);
+  bool enabled = db_->index_planner_enabled();
+  if (enabled && where != nullptr) {
+    // A WHERE naming a column the table lacks keeps the heap scan, so the
+    // statement still fails on its first row, as the full scan does.
+    std::vector<std::string> quals(t.schema().num_columns(), binding);
+    enabled = Resolvable(*where, t.schema(), quals);
+  }
+  return PlanTableAccess(t, binding, conjuncts, enabled);
+}
+
+Status Executor::ForEachDmlMatch(
+    const storage::Table& t, const std::string& binding, const Expr* where,
+    const std::function<Status(storage::RowId, const Row&)>& visit) {
+  const Schema& schema = t.schema();
+  std::vector<std::string> quals(schema.num_columns(), binding);
+  AccessPath path = PlanDml(t, binding, where);
+  uint64_t examined = 0;
+  auto examine = [&](storage::RowId rid, const Row& row) -> Status {
+    ++examined;
+    if (where != nullptr) {
+      EvalEnv env = MakeEnv(&schema, &quals, &row);
+      PHX_ASSIGN_OR_RETURN(Value v, EvalExpr(*where, env));
+      if (!Truthy(v)) return Status::Ok();
+    }
+    return visit(rid, row);
+  };
+  Status st = [&]() -> Status {
+    std::vector<storage::RowId> rids;
+    if (!ProbeAccessPath(t, path, /*snap=*/nullptr, &rids)) {
+      for (const auto& [rid, row] : t.rows()) {
+        PHX_RETURN_IF_ERROR(examine(rid, row));
+      }
+      return Status::Ok();
+    }
+    // RowId order is the heap's order: matches are applied, and logged,
+    // exactly as the full scan would apply them.
+    std::sort(rids.begin(), rids.end());
+    for (storage::RowId rid : rids) {
+      const Row* row = t.Find(rid);
+      if (row == nullptr) {
+        return Status::Internal("index references missing row");
+      }
+      PHX_RETURN_IF_ERROR(examine(rid, *row));
+    }
+    return Status::Ok();
+  }();
+  obs::MetricsRegistry::Default()
+      ->GetCounter("engine.dml.rows_examined")
+      ->Increment(examined);
+  return st;
+}
+
 Result<StatementResult> Executor::ExecuteUpdate(const sql::UpdateStmt& upd) {
   storage::Table* t = db_->store()->Get(upd.table);
   if (t == nullptr) return Status::SqlError("no such table: " + upd.table);
@@ -1133,22 +1185,22 @@ Result<StatementResult> Executor::ExecuteUpdate(const sql::UpdateStmt& upd) {
     sets.emplace_back(idx, e.get());
   }
 
-  // Two passes: collect matching rids first (mutating while scanning a
-  // std::map is fine for values but we also change the PK index).
+  // Two passes: collect the matches first, then apply them — an update may
+  // move rows within the PK and secondary indexes being enumerated.
   std::vector<std::pair<storage::RowId, Row>> updates;
-  for (const auto& [rid, row] : t->rows()) {
-    EvalEnv env = MakeEnv(&schema, &quals, &row);
-    if (upd.where != nullptr) {
-      PHX_ASSIGN_OR_RETURN(Value v, EvalExpr(*upd.where, env));
-      if (!Truthy(v)) continue;
-    }
-    Row new_row = row;
-    for (const auto& [idx, e] : sets) {
-      PHX_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, env));  // RHS sees old row
-      new_row[idx] = std::move(v);
-    }
-    updates.emplace_back(rid, std::move(new_row));
-  }
+  PHX_RETURN_IF_ERROR(ForEachDmlMatch(
+      *t, upd.table, upd.where.get(),
+      [&](storage::RowId rid, const Row& row) -> Status {
+        EvalEnv env = MakeEnv(&schema, &quals, &row);
+        Row new_row = row;
+        for (const auto& [idx, e] : sets) {
+          // Every SET right-hand side sees the old row.
+          PHX_ASSIGN_OR_RETURN(Value v, EvalExpr(*e, env));
+          new_row[idx] = std::move(v);
+        }
+        updates.emplace_back(rid, std::move(new_row));
+        return Status::Ok();
+      }));
   for (auto& [rid, new_row] : updates) {
     PHX_RETURN_IF_ERROR(
         db_->TxUpdate(session_->txn.get(), t, rid, std::move(new_row)));
@@ -1159,18 +1211,13 @@ Result<StatementResult> Executor::ExecuteUpdate(const sql::UpdateStmt& upd) {
 Result<StatementResult> Executor::ExecuteDelete(const sql::DeleteStmt& del) {
   storage::Table* t = db_->store()->Get(del.table);
   if (t == nullptr) return Status::SqlError("no such table: " + del.table);
-  const Schema& schema = t->schema();
-  std::vector<std::string> quals(schema.num_columns(), del.table);
-
   std::vector<storage::RowId> victims;
-  for (const auto& [rid, row] : t->rows()) {
-    if (del.where != nullptr) {
-      EvalEnv env = MakeEnv(&schema, &quals, &row);
-      PHX_ASSIGN_OR_RETURN(Value v, EvalExpr(*del.where, env));
-      if (!Truthy(v)) continue;
-    }
-    victims.push_back(rid);
-  }
+  PHX_RETURN_IF_ERROR(ForEachDmlMatch(
+      *t, del.table, del.where.get(),
+      [&](storage::RowId rid, const Row&) -> Status {
+        victims.push_back(rid);
+        return Status::Ok();
+      }));
   for (storage::RowId rid : victims) {
     PHX_RETURN_IF_ERROR(db_->TxDelete(session_->txn.get(), t, rid));
   }
@@ -1351,19 +1398,14 @@ Result<StatementResult> Executor::ExecuteExplain(const sql::Statement& inner) {
     }
     case StmtKind::kUpdate:
     case StmtKind::kDelete: {
-      // Honest reporting: the UPDATE/DELETE executors scan the heap
-      // sequentially (no access-path planning), so EXPLAIN must not claim
-      // an index path it would never take.
-      const std::string& table =
-          inner.kind == StmtKind::kUpdate ? inner.update->table
-                                          : inner.del->table;
-      const sql::Expr* where = inner.kind == StmtKind::kUpdate
-                                   ? inner.update->where.get()
-                                   : inner.del->where.get();
+      bool upd = inner.kind == StmtKind::kUpdate;
+      const std::string& table = upd ? inner.update->table : inner.del->table;
+      const Expr* where =
+          upd ? inner.update->where.get() : inner.del->where.get();
       PHX_ASSIGN_OR_RETURN(storage::Table * t, require_table(table));
-      std::string verb = inner.kind == StmtKind::kUpdate ? "UPDATE" : "DELETE";
-      emit(verb + " " + t->name() + ": seq scan" +
-           (where != nullptr ? " filtered by WHERE" : " (all rows)"));
+      if (!db_->index_planner_enabled()) emit("planner: off");
+      emit(std::string(upd ? "UPDATE " : "DELETE ") + t->name() + ": " +
+           PlanDml(*t, table, where).Describe());
       return r;
     }
     default:

@@ -1,6 +1,7 @@
 #ifndef PHOENIX_ENGINE_EXECUTOR_H_
 #define PHOENIX_ENGINE_EXECUTOR_H_
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -17,6 +18,7 @@ namespace phoenix::eng {
 
 class Database;
 struct Session;
+struct AccessPath;
 
 /// The server-side outcome of one statement: either a materialized result
 /// set or an affected-row count (never both).
@@ -111,6 +113,29 @@ class Executor {
   Status ApplyOrderLimit(const sql::SelectStmt& sel, const BoundRows* input,
                          const std::vector<Row>* input_rows,
                          StatementResult* result);
+
+  /// Enumerates the RowIds `path` selects from `t` into `rids` (index-key
+  /// order, ties by RowId). With `snap` set the dead-entry maps are probed
+  /// too and `rids` comes back deduplicated in RowId order. Returns false
+  /// when the heap must be scanned instead: a seq-scan path, a bound that
+  /// fails to evaluate, or an index dropped since planning.
+  bool ProbeAccessPath(const storage::Table& t, const AccessPath& path,
+                       const storage::MvccSnapshot* snap,
+                       std::vector<storage::RowId>* rids) const;
+
+  /// The access path an UPDATE/DELETE of `t` filtered by `where` takes;
+  /// ForEachDmlMatch runs it and EXPLAIN reports it.
+  AccessPath PlanDml(const storage::Table& t, const std::string& binding,
+                     const sql::Expr* where) const;
+
+  /// Calls `visit` on each row of `t` an UPDATE/DELETE WHERE matches, in
+  /// RowId order. Candidates come from the access path SELECT would plan;
+  /// the whole WHERE is re-applied to each one (engine.dml.rows_examined
+  /// counts them).
+  Status ForEachDmlMatch(
+      const storage::Table& t, const std::string& binding,
+      const sql::Expr* where,
+      const std::function<Status(storage::RowId, const Row&)>& visit);
 
   EvalEnv MakeEnv(const Schema* schema,
                   const std::vector<std::string>* qualifiers,

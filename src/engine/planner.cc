@@ -332,6 +332,14 @@ JoinPlan ChooseJoinStrategy(double est_outer, const storage::Table& rhs,
   return jp;
 }
 
+AccessPath PlanTableAccess(const storage::Table& t, const std::string& binding,
+                           const std::vector<const Expr*>& conjuncts,
+                           bool enabled) {
+  std::vector<std::string> quals(t.schema().num_columns(), binding);
+  return ChooseAccessPath(t, CollectBounds(conjuncts, t.schema(), quals),
+                          enabled);
+}
+
 SelectPlan PlanSelect(const sql::SelectStmt& sel,
                       const storage::TableStore& store, bool enabled) {
   SelectPlan plan;
@@ -358,15 +366,10 @@ SelectPlan PlanSelect(const sql::SelectStmt& sel,
     }
   }
 
-  Schema base_schema;
-  std::vector<std::string> base_quals;
-  for (const Column& c : tables[0]->schema().columns()) {
-    base_schema.AddColumn(c);
-    base_quals.push_back(plan.base_table);
-  }
-  std::map<int, ColumnBounds> bounds =
-      CollectBounds(conjuncts, base_schema, base_quals);
-  plan.base = ChooseAccessPath(*tables[0], bounds, enabled);
+  plan.base = PlanTableAccess(*tables[0], plan.base_table, conjuncts, enabled);
+  Schema base_schema = tables[0]->schema();
+  std::vector<std::string> base_quals(base_schema.num_columns(),
+                                      plan.base_table);
 
   // ORDER BY satisfaction (single-table only; join output interleaves).
   if (tables.size() == 1 && enabled) {
@@ -479,6 +482,22 @@ std::string EstString(double est) {
 
 }  // namespace
 
+std::string AccessPath::Describe() const {
+  std::string d;
+  switch (kind) {
+    case AccessKind::kSeqScan:
+      d = "SEQ SCAN";
+      break;
+    case AccessKind::kIndexEq:
+      d = "INDEX EQ " + index;
+      break;
+    case AccessKind::kIndexRange:
+      d = "INDEX RANGE " + index;
+      break;
+  }
+  return d + " (est " + EstString(est_rows) + " rows)";
+}
+
 std::vector<std::string> SelectPlan::Describe() const {
   std::vector<std::string> lines;
   if (!enabled) lines.push_back("planner: off");
@@ -486,20 +505,7 @@ std::vector<std::string> SelectPlan::Describe() const {
     lines.push_back("no table: constant result");
     return lines;
   }
-  std::string b = "table " + base_table + ": ";
-  switch (base.kind) {
-    case AccessKind::kSeqScan:
-      b += "SEQ SCAN";
-      break;
-    case AccessKind::kIndexEq:
-      b += "INDEX EQ " + base.index;
-      break;
-    case AccessKind::kIndexRange:
-      b += "INDEX RANGE " + base.index;
-      break;
-  }
-  b += " (est " + EstString(base.est_rows) + " rows)";
-  lines.push_back(std::move(b));
+  lines.push_back("table " + base_table + ": " + base.Describe());
   for (const JoinPlan& jp : joins) {
     std::string j = jp.left ? "left join " : "join ";
     j += jp.table + ": ";

@@ -23,7 +23,7 @@ enum class JoinStrategy : uint8_t { kHash, kIndexNestedLoop, kCross };
 
 /// The chosen way to read one base table. `eq` holds the row-invariant
 /// expressions bound to the leading index key columns; `lo`/`hi` optionally
-/// bound the next key column. All pointers borrow from the SelectStmt being
+/// bound the next key column. All pointers borrow from the statement being
 /// planned — a plan never outlives its statement. Every conjunct the bounds
 /// came from is still re-applied to the scanned rows, so a plan can only
 /// over-enumerate, never produce wrong results.
@@ -37,6 +37,9 @@ struct AccessPath {
   const sql::Expr* hi = nullptr;
   bool hi_inclusive = false;
   double est_rows = 0;
+
+  /// "SEQ SCAN (est 20 rows)", "INDEX EQ PRIMARY (est 1 rows)", ...
+  std::string Describe() const;
 };
 
 /// The chosen strategy for one table beyond the first.
@@ -64,6 +67,14 @@ struct SelectPlan {
   /// Human-readable plan, one line per row of the EXPLAIN result set.
   std::vector<std::string> Describe() const;
 };
+
+/// Plans how to read `t` under the AND-conjuncts of its filter, whose column
+/// references resolve against `binding`. The one single-table entry point:
+/// PlanSelect uses it for its base table and UPDATE/DELETE for their target.
+/// With `enabled` false, or a table under 8 rows, the path is a seq scan.
+AccessPath PlanTableAccess(const storage::Table& t, const std::string& binding,
+                           const std::vector<const sql::Expr*>& conjuncts,
+                           bool enabled);
 
 /// Plans `sel` against the current catalog. Missing tables yield a trivial
 /// plan (the executor reports the error). With `enabled` false the plan is

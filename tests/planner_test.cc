@@ -1,10 +1,13 @@
 // Ordered secondary indexes + the cost-aware access-path planner: plan
 // selection (asserted through EXPLAIN), result equivalence with the planner
-// on and off, index maintenance through DML/rollback/DDL-undo, recovery of
-// index definitions from the WAL and from v3 checkpoint images, and
-// backward acceptance of pre-index (v2) images.
+// on and off for SELECT and for UPDATE/DELETE (down to the WAL bytes), the
+// rows a keyed UPDATE/DELETE examines, index maintenance through
+// DML/rollback/DDL-undo, recovery of index definitions from the WAL and
+// from v3 checkpoint images, and backward acceptance of pre-index (v2)
+// images.
 
 #include <map>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -13,6 +16,7 @@
 #include "engine/database.h"
 #include "engine/planner.h"
 #include "gtest/gtest.h"
+#include "obs/metrics.h"
 
 namespace phoenix::eng {
 namespace {
@@ -22,9 +26,23 @@ bool SameKey(const Row& a, const Row& b) {
   return !lt(a, b) && !lt(b, a);
 }
 
-/// The index-consistency oracle: every index's entry tree must equal the
-/// tree rebuilt from the base rows.
+/// The index-consistency oracle: the PK index and every secondary index's
+/// entry tree must equal the tree rebuilt from the base rows.
 testing::AssertionResult IndexesConsistent(const storage::Table& t) {
+  if (!t.pk_columns().empty()) {
+    if (t.pk_index().size() != t.num_rows()) {
+      return testing::AssertionFailure()
+             << "PK index has " << t.pk_index().size() << " keys for "
+             << t.num_rows() << " rows";
+    }
+    for (const auto& [rid, row] : t.rows()) {
+      auto it = t.pk_index().find(storage::Table::KeyFor(t.pk_columns(), row));
+      if (it == t.pk_index().end() || it->second != rid) {
+        return testing::AssertionFailure()
+               << "PK index diverges from its base rows at rid " << rid;
+      }
+    }
+  }
   for (const storage::SecondaryIndex& idx : t.indexes()) {
     std::map<Row, std::set<storage::RowId>, storage::RowLess> want;
     for (const auto& [rid, row] : t.rows()) {
@@ -199,6 +217,42 @@ TEST_F(PlannerTest, ExplainJoinPicksIndexNestedLoopOnPk) {
   ExpectSameRows("SELECT L.ID, R.P FROM L, R WHERE L.RK = R.K ORDER BY L.ID");
 }
 
+TEST_F(PlannerTest, ExplainDmlReportsThePlanItRuns) {
+  SeedT();
+  Exec("CREATE INDEX IV ON T (V)");
+  EXPECT_NE(ExplainText("UPDATE T SET W = 0 WHERE K = 1")
+                .find("UPDATE T: INDEX EQ PRIMARY"),
+            std::string::npos);
+  EXPECT_NE(ExplainText("DELETE FROM T WHERE V = 3")
+                .find("DELETE T: INDEX EQ IV"),
+            std::string::npos);
+  EXPECT_NE(ExplainText("DELETE FROM T WHERE K BETWEEN 3 AND 9")
+                .find("INDEX RANGE PRIMARY"),
+            std::string::npos);
+  EXPECT_NE(ExplainText("UPDATE T SET W = 0 WHERE W = 1").find("SEQ SCAN"),
+            std::string::npos);
+  EXPECT_NE(ExplainText("DELETE FROM T").find("SEQ SCAN"), std::string::npos);
+
+  db_->set_index_planner(false);
+  std::string off = ExplainText("UPDATE T SET W = 0 WHERE K = 1");
+  EXPECT_NE(off.find("planner: off"), std::string::npos) << off;
+  EXPECT_NE(off.find("UPDATE T: SEQ SCAN"), std::string::npos) << off;
+  db_->set_index_planner(true);
+
+  Exec("CREATE TABLE S (K INTEGER PRIMARY KEY, V INTEGER)");
+  Exec("INSERT INTO S VALUES (1, 1), (2, 2), (3, 3)");
+  EXPECT_NE(ExplainText("UPDATE S SET V = 0 WHERE K = 1").find("SEQ SCAN"),
+            std::string::npos);
+
+  // None of the explained statements ran.
+  EXPECT_EQ(Exec("SELECT COUNT(*) AS N FROM T WHERE W = 0").rows[0][0]
+                .AsInt64(),
+            32);
+  EXPECT_EQ(Exec("SELECT COUNT(*) AS N FROM S WHERE V = 0").rows[0][0]
+                .AsInt64(),
+            0);
+}
+
 TEST_F(PlannerTest, ExplainErrorsLikeSelectOnMissingTable) {
   EXPECT_EQ(TryExec("EXPLAIN SELECT * FROM NOPE").code(),
             StatusCode::kSqlError);
@@ -241,6 +295,203 @@ TEST_F(PlannerTest, IndexScanHonorsCrossTypeComparisons) {
   // A double literal probing an integer index must agree with the filter.
   ExpectSameRows("SELECT K FROM T WHERE V = 3.0");
   ExpectSameRows("SELECT K FROM T WHERE V > 5.5");
+}
+
+/// A seeded random script of UPDATE/DELETE/INSERT over T (K primary key,
+/// V indexed with duplicate keys and NULLs, W unindexed), with statements
+/// grouped into BEGIN..ROLLBACK and BEGIN..COMMIT blocks. Every WHERE shape
+/// the planner can turn into an index probe appears, next to shapes it must
+/// leave to the filter.
+std::vector<std::string> RandomDmlScript(uint32_t seed, int n) {
+  std::mt19937 rng(seed);
+  auto pick = [&rng](int lo, int hi) {
+    return std::uniform_int_distribution<int>(lo, hi)(rng);
+  };
+  auto num = [](int v) { return std::to_string(v); };
+  std::vector<std::string> script;
+  int txn_left = 0;  // statements until the open block ends; 0 = autocommit
+  for (int i = 0; i < n; ++i) {
+    if (txn_left == 0 && pick(0, 9) == 0) {
+      script.push_back("BEGIN");
+      txn_left = pick(2, 8);
+    }
+    std::string k = num(pick(0, 249));
+    int a = pick(0, 240);
+    std::string lo = num(a), hi = num(a + pick(0, 12));
+    int vi = pick(0, 18);
+    std::string v = num(vi);
+    switch (pick(0, 17)) {
+      case 0:
+        script.push_back("UPDATE T SET W = W + 1 WHERE K = " + k);
+        break;
+      case 1:  // flipped operands
+        script.push_back("UPDATE T SET W = W + 2 WHERE " + k + " = K");
+        break;
+      case 2:  // a double probing the integer PK
+        script.push_back("UPDATE T SET W = 7 WHERE K = " + k + ".0");
+        break;
+      case 3: script.push_back("DELETE FROM T WHERE K = " + k); break;
+      case 4: script.push_back("UPDATE T SET W = 0 WHERE K = NULL"); break;
+      case 5:
+        script.push_back("UPDATE T SET W = W * 2 WHERE K >= " + lo +
+                         " AND K < " + hi);
+        break;
+      case 6:
+        script.push_back("DELETE FROM T WHERE K BETWEEN " + lo + " AND " + hi);
+        break;
+      case 7: script.push_back("UPDATE T SET W = W - 1 WHERE V = " + v); break;
+      case 8:
+        script.push_back("DELETE FROM T WHERE V = " + v + " AND W > 3");
+        break;
+      case 9:
+        script.push_back("UPDATE T SET V = V + 1 WHERE V > " + v +
+                         " AND V <= " + num(vi + 2));
+        break;
+      case 10:
+        script.push_back("UPDATE T SET V = NULL WHERE K = " + k +
+                         " AND W % 2 = 0");
+        break;
+      case 11:  // a key no statement creates
+        script.push_back("DELETE FROM T WHERE K = -1" + k);
+        break;
+      case 12:
+        script.push_back("UPDATE T SET K = K + 1000 WHERE K BETWEEN " + lo +
+                         " AND " + hi);
+        break;
+      case 13:
+        // Colliding unless the range is sparse: K = a moves onto a + 1.
+        script.push_back("UPDATE T SET K = K + 1 WHERE K >= " + lo +
+                         " AND K <= " + num(a + 5));
+        break;
+      case 14:
+        script.push_back("INSERT INTO T VALUES (" + k + ", " + v + ", " +
+                         num(pick(0, 9)) + ")");
+        break;
+      case 15:
+        script.push_back("UPDATE T SET W = W + 1 WHERE V = NULL");
+        break;
+      case 16:  // fails on the first row the WHERE is evaluated on
+        script.push_back("DELETE FROM T WHERE NOSUCH = 1 AND K = " + k);
+        break;
+      default:
+        script.push_back("UPDATE T SET W = W + 3 WHERE K < " + lo +
+                         " AND V >= " + v);
+        break;
+    }
+    if (txn_left > 0 && --txn_left == 0) {
+      script.push_back(pick(0, 3) == 0 ? "COMMIT" : "ROLLBACK");
+    }
+  }
+  if (txn_left > 0) script.push_back("ROLLBACK");
+  return script;
+}
+
+uint64_t DmlRowsExamined() {
+  return obs::MetricsRegistry::Default()
+      ->GetCounter("engine.dml.rows_examined")
+      ->Value();
+}
+
+// UPDATE/DELETE pick their rows through the planner; with it off they scan
+// the heap. Both must affect the same rows, fail the same statements and
+// log byte-identical WALs — candidates are applied in RowId order, the
+// order of the heap scan.
+TEST(PlannerDmlTest, DifferentialAgainstPlannerOffDownToWalBytes) {
+  for (uint32_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    storage::SimDisk disk_on, disk_off;
+    Database on(&disk_on), off(&disk_off);
+    ASSERT_TRUE(on.Open().ok());
+    ASSERT_TRUE(off.Open().ok());
+    off.set_index_planner(false);
+    uint64_t sid_on = *on.CreateSession("t");
+    uint64_t sid_off = *off.CreateSession("t");
+
+    std::vector<std::string> script = {
+        "CREATE TABLE T (K INTEGER PRIMARY KEY, V INTEGER, W INTEGER)",
+        "CREATE INDEX IV ON T (V)"};
+    std::string ins = "INSERT INTO T VALUES ";
+    for (int k = 0; k < 200; ++k) {
+      if (k > 0) ins += ", ";
+      ins += "(" + std::to_string(k) + ", " +
+             (k % 23 == 0 ? "NULL" : std::to_string(k % 17)) + ", " +
+             std::to_string(k % 5) + ")";
+    }
+    script.push_back(ins);
+    for (std::string& sql : RandomDmlScript(seed, 300)) {
+      script.push_back(std::move(sql));
+    }
+
+    uint64_t examined_on = 0, examined_off = 0;
+    int failures = 0;
+    for (const std::string& sql : script) {
+      uint64_t before = DmlRowsExamined();
+      auto r_on = on.ExecuteScript(sid_on, sql);
+      uint64_t mid = DmlRowsExamined();
+      auto r_off = off.ExecuteScript(sid_off, sql);
+      examined_on += mid - before;
+      examined_off += DmlRowsExamined() - mid;
+      ASSERT_EQ(r_on.status().ToString(), r_off.status().ToString()) << sql;
+      if (!r_on.ok()) {
+        ++failures;
+        continue;
+      }
+      ASSERT_EQ(r_on->back().affected, r_off->back().affected) << sql;
+      const storage::Table* t_on = on.store()->Get("T");
+      ASSERT_NE(t_on, nullptr);
+      ASSERT_TRUE(IndexesConsistent(*t_on)) << sql;
+      ASSERT_TRUE(IndexesConsistent(*off.store()->Get("T"))) << sql;
+    }
+    // The script must exercise statement failure and the index path.
+    EXPECT_GT(failures, 0);
+    EXPECT_LT(examined_on * 4, examined_off);
+
+    const storage::Table* t_on = on.store()->Get("T");
+    const storage::Table* t_off = off.store()->Get("T");
+    ASSERT_EQ(t_on->num_rows(), t_off->num_rows());
+    auto it = t_off->rows().begin();
+    for (const auto& [rid, row] : t_on->rows()) {
+      ASSERT_EQ(rid, it->first);
+      ASSERT_TRUE(SameKey(row, it->second)) << "rid " << rid;
+      ++it;
+    }
+    auto wal_on = disk_on.Read("phxdb.wal");
+    auto wal_off = disk_off.Read("phxdb.wal");
+    ASSERT_TRUE(wal_on.ok());
+    ASSERT_TRUE(wal_off.ok());
+    EXPECT_GT(wal_on->size(), 0u);
+    EXPECT_TRUE(*wal_on == *wal_off) << "WAL bytes differ";
+  }
+}
+
+// A keyed UPDATE/DELETE examines only the rows its index probe yields; the
+// counter pins that the executor takes the path EXPLAIN reports.
+TEST_F(PlannerTest, KeyedDmlExaminesOnlyProbedRows) {
+  Exec("CREATE TABLE KV (ID INTEGER PRIMARY KEY, VAL INTEGER)");
+  std::string ins = "INSERT INTO KV VALUES ";
+  for (int k = 0; k < 20000; ++k) {
+    if (k > 0) ins += ", ";
+    ins += "(" + std::to_string(k) + ", 0)";
+  }
+  Exec(ins);
+  auto examined = [&](const std::string& sql, int64_t want_affected) {
+    uint64_t before = DmlRowsExamined();
+    EXPECT_EQ(Exec(sql).affected, want_affected) << sql;
+    return DmlRowsExamined() - before;
+  };
+  const std::string upd = "UPDATE KV SET VAL = VAL + 1 WHERE ID = 12345";
+  const std::string miss = "DELETE FROM KV WHERE ID = 20000";
+  EXPECT_NE(ExplainText(upd).find("INDEX EQ PRIMARY"), std::string::npos);
+  EXPECT_EQ(examined(upd, 1), 1u);
+  EXPECT_EQ(examined(miss, 0), 0u);
+
+  db_->set_index_planner(false);
+  EXPECT_NE(ExplainText(upd).find("SEQ SCAN"), std::string::npos);
+  EXPECT_EQ(examined(upd, 1), 20000u);
+  EXPECT_EQ(examined(miss, 0), 20000u);
+  db_->set_index_planner(true);
+  EXPECT_EQ(Exec("SELECT VAL FROM KV WHERE ID = 12345").rows[0][0].AsInt64(),
+            2);
 }
 
 // ---- Index maintenance through every mutation path ----------------------
