@@ -83,7 +83,7 @@ void Main() {
   }
   PrintRule();
   std::printf(
-      "\nPaper reference: the server-side INSERT..SELECT (their stored\n"
+      "\nPaper reference: the server-side SELECT..INTO (their stored\n"
       "procedure P) keeps the data on the server; the client round trip\n"
       "ships every tuple twice and should lose by a growing margin.\n");
 }

@@ -1,5 +1,6 @@
 #include "core/phoenix_driver_manager.h"
 
+#include <algorithm>
 #include <set>
 
 #include "core/rewriter.h"
@@ -192,8 +193,10 @@ SqlReturn PhoenixDriverManager::ExecDirect(Hstmt* stmt,
   if (cs->broken) {
     return Fail(stmt, Status::CommError("session unrecoverable"));
   }
-  ResetResultState(stmt);
-  stmt->dm_state.reset();
+  // Re-executing a statement ends its previous result: close the server
+  // cursor (or its rows and snapshot pin would live until disconnect) and
+  // retire the statement's table.
+  CloseCursor(stmt);
   stmt->last_sql = sql;
 
   auto classified = Classify(sql);
@@ -346,27 +349,15 @@ SqlReturn PhoenixDriverManager::ExecDirect(Hstmt* stmt,
 SqlReturn PhoenixDriverManager::ExecMaterializedSelect(
     Hstmt* stmt, const sql::SelectStmt& sel, ConnState* cs) {
   Hdbc* dbc = stmt->dbc;
-  // Step 1: result-set metadata via the WHERE 0=1 probe (compile-only).
-  auto metadata = ProbeMetadata(dbc, sel);
-  if (!metadata.ok()) return Fail(stmt, metadata.status());
-
-  // Step 2: persistent table shaped like the result.
+  // The result set persists as a server table (metadata probe and
+  // materialization in one private round trip, the rows never leaving the
+  // server) and is delivered through a server cursor over it, its position
+  // tracked for seamless post-crash resumption.
   std::string table = NextResultTableName(config_, cs);
-  sql::CreateTableStmt ct = MakeCreateTableFromMetadata(table, *metadata);
-  Status created = CreateFreshArtifactTable(dbc, ct, table);
-  if (!created.ok()) return Fail(stmt, created);
-  cs->artifact_tables.push_back(table);
-
-  // Step 3: materialize — data never leaves the server (single round trip).
-  Status mat = MaterializeInto(dbc, sel, table);
-  if (!mat.ok()) return Fail(stmt, mat);
-  ++stats_.materialized_results;
-
-  // Step 4: deliver through a server cursor over the persistent table, and
-  // track position for seamless post-crash resumption.
   uint64_t cursor_id = 0;
-  Status pos = OpenCursorWithRecovery(dbc, table, 0, &cursor_id);
-  if (!pos.ok()) return Fail(stmt, pos);
+  auto metadata = Materialize(dbc, cs, sel, sel, table, &cursor_id);
+  if (!metadata.ok()) return Fail(stmt, metadata.status());
+  ++stats_.materialized_results;
 
   stmt->has_result = true;
   stmt->schema = std::move(*metadata);
@@ -392,6 +383,50 @@ Result<Schema> PhoenixDriverManager::ProbeMetadata(Hdbc* dbc,
   return std::move(results[0].schema);
 }
 
+Result<Schema> PhoenixDriverManager::Materialize(Hdbc* dbc, ConnState* cs,
+                                                 const sql::SelectStmt& shown,
+                                                 const sql::SelectStmt& source,
+                                                 const std::string& table,
+                                                 uint64_t* cursor_id) {
+  // Tracked before the attempt: a failure after a lost reply may still
+  // leave the table behind. Retired, it is dropped by the next
+  // materialization.
+  cs->artifact_tables.push_back(table);
+  auto metadata = [&]() -> Result<Schema> {
+    Schema shown_metadata;
+    if (config_.materialize_via_server) {
+      PHX_ASSIGN_OR_RETURN(shown_metadata,
+                           MaterializeOnServer(dbc, cs, shown, source, table));
+    } else {
+      PHX_ASSIGN_OR_RETURN(shown_metadata,
+                           MaterializeViaClient(dbc, shown, source, table));
+    }
+    PHX_RETURN_IF_ERROR(OpenCursorWithRecovery(dbc, table, 0, cursor_id));
+    return shown_metadata;
+  }();
+  if (!metadata.ok()) cs->retired_tables.push_back(table);
+  return metadata;
+}
+
+Result<Schema> PhoenixDriverManager::MaterializeOnServer(
+    Hdbc* dbc, ConnState* cs, const sql::SelectStmt& shown,
+    const sql::SelectStmt& source, const std::string& table) {
+  PHX_ASSIGN_OR_RETURN(
+      std::vector<eng::StatementResult> results,
+      ExecTxnOnPrivate(dbc, MakeMaterializeScript(shown, source, table,
+                                                  cs->retired_tables)));
+  if (results.empty() || !results[0].has_rows) {
+    return Status::SqlError("metadata probe produced no result set");
+  }
+  // The retired tables were dropped in the same transaction.
+  std::erase_if(cs->artifact_tables, [&](const std::string& t) {
+    return std::find(cs->retired_tables.begin(), cs->retired_tables.end(),
+                     t) != cs->retired_tables.end();
+  });
+  cs->retired_tables.clear();
+  return std::move(results[0].schema);
+}
+
 Status PhoenixDriverManager::CreateFreshArtifactTable(
     Hdbc* dbc, const sql::CreateTableStmt& ct, const std::string& table) {
   auto created = ExecOnPrivate(dbc, ct.ToSql());
@@ -407,23 +442,19 @@ Status PhoenixDriverManager::CreateFreshArtifactTable(
   return created.status();
 }
 
-Status PhoenixDriverManager::MaterializeInto(Hdbc* dbc,
-                                             const sql::SelectStmt& sel,
-                                             const std::string& table) {
-  if (config_.materialize_via_server) {
-    // The paper's stored-procedure trick: all data moves locally at the
-    // server in one atomic statement. The DELETE prefix makes the step
-    // idempotent: if the INSERT..SELECT executed but its reply was lost to
-    // a crash, ExecOnPrivate's post-recovery resubmission must not double
-    // the rows. On the first pass it clears a freshly created empty table —
-    // a no-op.
-    std::string sql = "DELETE FROM " + table + "; " +
-                      MakeInsertSelect(table, sel)->ToSql();
-    return ExecOnPrivate(dbc, sql).status();
+Result<Schema> PhoenixDriverManager::MaterializeViaClient(
+    Hdbc* dbc, const sql::SelectStmt& shown, const sql::SelectStmt& source,
+    const std::string& table) {
+  PHX_ASSIGN_OR_RETURN(Schema metadata, ProbeMetadata(dbc, shown));
+  Schema source_metadata = metadata;
+  if (&source != &shown) {
+    PHX_ASSIGN_OR_RETURN(source_metadata, ProbeMetadata(dbc, source));
   }
-  // Ablation: pull the result to the client, push it back in batches.
+  PHX_RETURN_IF_ERROR(CreateFreshArtifactTable(
+      dbc, MakeCreateTableFromMetadata(table, source_metadata), table));
+  // Pull the result to the client, push it back in batches.
   PHX_ASSIGN_OR_RETURN(std::vector<eng::StatementResult> results,
-                       ExecOnPrivate(dbc, sel.ToSql()));
+                       ExecOnPrivate(dbc, source.ToSql()));
   if (results.empty() || !results[0].has_rows) {
     return Status::SqlError("materialization query produced no result set");
   }
@@ -439,7 +470,7 @@ Status PhoenixDriverManager::MaterializeInto(Hdbc* dbc,
     i = end;
     PHX_RETURN_IF_ERROR(ExecOnPrivate(dbc, sql).status());
   }
-  return Status::Ok();
+  return metadata;
 }
 
 // ---------------------------------------------------------------------------
@@ -472,25 +503,13 @@ SqlReturn PhoenixDriverManager::ExecCursorProxy(Hstmt* stmt,
                           "dynamic cursors require a single-column key"));
   }
 
-  // Result metadata the application will see.
-  auto metadata = ProbeMetadata(dbc, sel);
-  if (!metadata.ok()) return Fail(stmt, metadata.status());
-
-  // Materialize the key set in PK order.
+  // Materialize the key set in PK order; the application sees the
+  // original query's metadata.
   std::unique_ptr<sql::SelectStmt> key_sel = MakeSelectKeys(sel, pk);
-  auto key_meta = ProbeMetadata(dbc, *key_sel);
-  if (!key_meta.ok()) return Fail(stmt, key_meta.status());
   std::string key_table = NextKeyTableName(config_, cs);
-  sql::CreateTableStmt ct = MakeCreateTableFromMetadata(key_table, *key_meta);
-  Status created = CreateFreshArtifactTable(dbc, ct, key_table);
-  if (!created.ok()) return Fail(stmt, created);
-  cs->artifact_tables.push_back(key_table);
-  Status mat = MaterializeInto(dbc, *key_sel, key_table);
-  if (!mat.ok()) return Fail(stmt, mat);
-
   uint64_t cursor_id = 0;
-  Status pos = OpenCursorWithRecovery(dbc, key_table, 0, &cursor_id);
-  if (!pos.ok()) return Fail(stmt, pos);
+  auto metadata = Materialize(dbc, cs, sel, *key_sel, key_table, &cursor_id);
+  if (!metadata.ok()) return Fail(stmt, metadata.status());
 
   stmt->has_result = true;
   stmt->schema = std::move(*metadata);
@@ -900,9 +919,15 @@ SqlReturn PhoenixDriverManager::SeekRow(Hstmt* stmt, uint64_t position) {
 SqlReturn PhoenixDriverManager::CloseCursor(Hstmt* stmt) {
   StmtState* vs = stmt_state(stmt);
   ConnState* cs = conn_state(stmt->dbc);
-  if (vs != nullptr && cs != nullptr && vs->key_cursor_id != 0 &&
-      stmt->dbc->connected && !cs->broken) {
-    stmt->dbc->driver->CloseCursor(vs->key_cursor_id);
+  if (vs != nullptr && cs != nullptr) {
+    if (vs->key_cursor_id != 0 && stmt->dbc->connected && !cs->broken) {
+      stmt->dbc->driver->CloseCursor(vs->key_cursor_id);
+    }
+    // No recovery can need the table once its cursor is gone; the next
+    // materialization drops it.
+    if (!vs->result_table.empty()) {
+      cs->retired_tables.push_back(vs->result_table);
+    }
   }
   stmt->dm_state.reset();
   return DriverManager::CloseCursor(stmt);
@@ -951,6 +976,25 @@ Result<std::vector<eng::StatementResult>> PhoenixDriverManager::ExecOnPrivate(
     (void)outcome;
   }
   return Status::CommError("retry budget exhausted (private connection)");
+}
+
+Result<std::vector<eng::StatementResult>>
+PhoenixDriverManager::ExecTxnOnPrivate(Hdbc* dbc, const std::string& script) {
+  for (int attempt = 0; attempt < 5; ++attempt) {
+    auto results = ExecOnPrivate(dbc, script);
+    if (results.ok() || IsCrashSignal(results.status())) return results;
+    // Best effort: "no transaction in progress" when the failure came
+    // before the BEGIN, and a crash ends the transaction anyway.
+    (void)ExecOnPrivate(dbc, "ROLLBACK");
+    // A transaction left open by an earlier run of this script (its
+    // failure reply was lost, then the script was re-sent): now rolled
+    // back, so the script can run.
+    if (results.status().message().find("already in progress") ==
+        std::string::npos) {
+      return results;
+    }
+  }
+  return Status::CommError("retry budget exhausted (private transaction)");
 }
 
 }  // namespace phoenix::core

@@ -100,17 +100,40 @@ class PhoenixDriverManager : public odbc::DriverManager {
   /// Same, on the Phoenix private connection.
   Result<std::vector<eng::StatementResult>> ExecOnPrivate(
       odbc::Hdbc* dbc, const std::string& sql);
+  /// ExecOnPrivate for a script that opens a transaction. A non-crash error
+  /// stops the script where it failed, possibly inside the transaction, so
+  /// the private session is rolled back before the error is returned: it
+  /// never stays inside a transaction between calls.
+  Result<std::vector<eng::StatementResult>> ExecTxnOnPrivate(
+      odbc::Hdbc* dbc, const std::string& script);
 
   Status EnsureStatusTable(odbc::Hdbc* dbc, ConnState* cs);
   /// CREATE TABLE for a freshly named, session-tagged Phoenix artifact
-  /// (result / key tables). An AlreadyExists hit can only be our own
+  /// (client-copy ablation). An AlreadyExists hit can only be our own
   /// lost-reply predecessor, so it is dropped and the CREATE retried.
   Status CreateFreshArtifactTable(odbc::Hdbc* dbc,
                                   const sql::CreateTableStmt& ct,
                                   const std::string& table);
   Result<Schema> ProbeMetadata(odbc::Hdbc* dbc, const sql::SelectStmt& sel);
-  Status MaterializeInto(odbc::Hdbc* dbc, const sql::SelectStmt& sel,
-                         const std::string& table);
+  /// Persists `source`'s rows as the fresh artifact table `table`, opens a
+  /// static cursor over it on the main connection, and returns the metadata
+  /// of `shown` (the result set the application sees).
+  Result<Schema> Materialize(odbc::Hdbc* dbc, ConnState* cs,
+                             const sql::SelectStmt& shown,
+                             const sql::SelectStmt& source,
+                             const std::string& table, uint64_t* cursor_id);
+  /// The server path of Materialize: one MakeMaterializeScript round trip,
+  /// which also drops the connection's retired tables.
+  Result<Schema> MaterializeOnServer(odbc::Hdbc* dbc, ConnState* cs,
+                                     const sql::SelectStmt& shown,
+                                     const sql::SelectStmt& source,
+                                     const std::string& table);
+  /// The client-copy ablation of Materialize: probe, CREATE from metadata,
+  /// then the rows pulled to the client and pushed back in INSERT batches.
+  Result<Schema> MaterializeViaClient(odbc::Hdbc* dbc,
+                                      const sql::SelectStmt& shown,
+                                      const sql::SelectStmt& source,
+                                      const std::string& table);
   /// Pulls the next key of a keyset/dynamic proxy. Returns false at end.
   Result<bool> NextKey(odbc::Hstmt* stmt, ConnState* cs, StmtState* vs,
                        Row* key);

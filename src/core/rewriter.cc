@@ -61,15 +61,18 @@ sql::CreateTableStmt MakeCreateTableFromMetadata(const std::string& table,
   return ct;
 }
 
-std::unique_ptr<Statement> MakeInsertSelect(const std::string& table,
-                                            const SelectStmt& sel) {
-  auto stmt = std::make_unique<Statement>();
-  stmt->kind = sql::StmtKind::kInsert;
-  stmt->insert = std::make_unique<sql::InsertStmt>();
-  stmt->insert->table = table;
-  stmt->insert->select = sel.Clone();
-  stmt->insert->select->into_table.clear();
-  return stmt;
+std::string MakeMaterializeScript(const SelectStmt& shown,
+                                  const SelectStmt& source,
+                                  const std::string& table,
+                                  const std::vector<std::string>& retired) {
+  std::string sql = MakeMetadataProbe(shown)->ToSql() + "; BEGIN TRANSACTION; ";
+  for (const std::string& t : retired) {
+    sql += "DROP TABLE IF EXISTS " + t + "; ";
+  }
+  auto into = source.Clone();
+  into->into_table = table;
+  sql += "DROP TABLE IF EXISTS " + table + "; " + into->ToSql() + "; COMMIT";
+  return sql;
 }
 
 std::unique_ptr<SelectStmt> MakeSelectKeys(

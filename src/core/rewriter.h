@@ -20,16 +20,27 @@ namespace phoenix::core {
 /// compile-only server work. ORDER BY/LIMIT are stripped (metadata-neutral).
 std::unique_ptr<sql::SelectStmt> MakeMetadataProbe(const sql::SelectStmt& sel);
 
-/// CREATE TABLE <name> (...) from result-set metadata. Column names are
-/// sanitized to valid, unique identifiers (C1..Cn fallback) — the app never
-/// sees this table's schema, only the original metadata.
+/// CREATE TABLE <name> (...) from result-set metadata, for the client-copy
+/// ablation (PhoenixConfig::materialize_via_server = false). Column names
+/// are sanitized to valid, unique identifiers (C1..Cn fallback) — the app
+/// never sees this table's schema, only the original metadata.
 sql::CreateTableStmt MakeCreateTableFromMetadata(const std::string& table,
                                                  const Schema& metadata);
 
-/// INSERT INTO <table> <select> — the single-round-trip, data-stays-on-the-
-/// server materialization (the role of the paper's stored procedure P).
-std::unique_ptr<sql::Statement> MakeInsertSelect(const std::string& table,
-                                                 const sql::SelectStmt& sel);
+/// The materialization script — one private-connection round trip, one
+/// commit:
+///   <WHERE 0=1 probe of shown>; BEGIN TRANSACTION;
+///   DROP TABLE IF EXISTS <retired>...; DROP TABLE IF EXISTS <table>;
+///   SELECT <source> INTO <table>; COMMIT
+/// Its first result is the probe's empty result set, whose schema is the
+/// metadata the application sees. Data never leaves the server (the role of
+/// the paper's stored procedure P), and re-sending the whole script after a
+/// lost reply or a crash is safe: the DROPs make the SELECT INTO start
+/// clean.
+std::string MakeMaterializeScript(const sql::SelectStmt& shown,
+                                  const sql::SelectStmt& source,
+                                  const std::string& table,
+                                  const std::vector<std::string>& retired);
 
 /// SELECT <pk...> FROM <base> WHERE <sel.where> ORDER BY <pk...> — key-set
 /// materialization source for keyset/dynamic cursors.

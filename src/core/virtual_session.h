@@ -87,7 +87,7 @@ struct PhoenixConfig {
   /// start and discard client-side.
   bool server_side_reposition = true;
 
-  /// Materialize results with a single server-side INSERT..SELECT (paper's
+  /// Materialize results with a single server-side SELECT..INTO (paper's
   /// stored procedure P). false = ablation: pull rows to the client and
   /// push them back with INSERT VALUES batches.
   bool materialize_via_server = true;
@@ -230,6 +230,11 @@ struct ConnState {
   /// Every persistent object Phoenix created, for end-of-session cleanup.
   std::vector<std::string> artifact_tables;
   std::vector<std::string> artifact_procs;
+  /// Result/key tables (still in artifact_tables) that no statement needs
+  /// any more: their cursor was closed, or the statement freed or
+  /// re-executed. The next materialization drops them inside its own
+  /// transaction; Disconnect drops whatever is left.
+  std::vector<std::string> retired_tables;
 
   /// Open-transaction tracking for post-crash replay.
   bool in_txn = false;

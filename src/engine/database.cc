@@ -43,6 +43,12 @@ Status Database::Open() {
   // commit publishes a strictly larger LSN.
   committed_lsn_.store(durability_.wal_writer()->last_assigned_lsn(),
                        std::memory_order_release);
+  // Every replayed record is a commit the last checkpoint does not hold, so
+  // the cadence resumes where the dead process left it. Starting from 0
+  // would let a server restarted more often than every N commits never
+  // checkpoint, growing its WAL and its restart time without bound.
+  commits_since_checkpoint_.store(recovery_info_.records_replayed,
+                                  std::memory_order_relaxed);
   ckpt_thread_ = std::thread([this] { CheckpointThreadLoop(); });
   open_ = true;
   return Status::Ok();

@@ -374,10 +374,14 @@ Result<BoundRows> Executor::EvaluateFrom(const SelectStmt& sel) {
   }
   if (constant_false) {
     BoundRows empty;
-    for (const Bound& b : tables) {
-      for (const Column& c : b.table->schema().columns()) {
-        empty.schema.AddColumn(c);
-        empty.qualifiers.push_back(b.binding);
+    for (size_t ti = 0; ti < tables.size(); ++ti) {
+      // Same schema the evaluated join reports: LEFT-joined columns are
+      // nullable (null-padded rows), so the probe's metadata matches.
+      bool padded = left_spec_of.count(static_cast<int>(ti)) > 0;
+      for (Column c : tables[ti].table->schema().columns()) {
+        if (padded) c.nullable = true;
+        empty.schema.AddColumn(std::move(c));
+        empty.qualifiers.push_back(tables[ti].binding);
       }
     }
     if (tables.size() == 1) empty.single_table = tables[0].table;
@@ -686,7 +690,10 @@ Result<BoundRows> Executor::EvaluateFrom(const SelectStmt& sel) {
       joined.schema = cur.schema;
       joined.qualifiers = cur.qualifiers;
       for (size_t i = 0; i < rhs.schema.num_columns(); ++i) {
-        joined.schema.AddColumn(rhs.schema.column(i));
+        // A padded row holds NULL here whatever the base column allows.
+        Column c = rhs.schema.column(i);
+        c.nullable = true;
+        joined.schema.AddColumn(std::move(c));
         joined.qualifiers.push_back(rhs.qualifiers[i]);
       }
       Row null_pad;

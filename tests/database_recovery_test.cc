@@ -142,6 +142,37 @@ TEST_F(DatabaseRecoveryTest, RepeatedCrashes) {
   }
 }
 
+TEST_F(DatabaseRecoveryTest, CheckpointCadenceSurvivesRestarts) {
+  // A server restarted more often than every N commits must still
+  // checkpoint: the commit counter resumes from the replayed records
+  // instead of starting over at 0.
+  constexpr uint64_t kEvery = 10;
+  auto start = [&] {
+    DatabaseOptions opts;
+    opts.checkpoint_every_n_commits = kEvery;
+    db_ = std::make_unique<Database>(&disk_, opts);
+    ASSERT_TRUE(db_->Open().ok());
+    sid_ = *db_->CreateSession("t");
+  };
+  start();
+  Exec("CREATE TABLE T (K INTEGER PRIMARY KEY)");
+  int next = 0;
+  for (int round = 0; round < 5; ++round) {
+    for (int i = 0; i < 9; ++i) {
+      Exec("INSERT INTO T VALUES (" + std::to_string(next++) + ")");
+    }
+    db_->WaitForCheckpointIdle();  // a written image, not a dropped one
+    db_.reset();
+    disk_.Crash();
+    start();
+    EXPECT_LT(db_->recovery_info().records_replayed, kEvery)
+        << "round " << round;
+  }
+  // Counted once at the end: an autocommit read is a commit too, and one
+  // per round would hand the counter its 10th commit on its own.
+  EXPECT_EQ(Exec("SELECT COUNT(*) AS N FROM T").rows[0][0].AsInt64(), next);
+}
+
 TEST_F(DatabaseRecoveryTest, RowIdsStableAcrossRecovery) {
   Exec("CREATE TABLE T (K INTEGER PRIMARY KEY)");
   Exec("INSERT INTO T VALUES (1), (2), (3)");

@@ -136,6 +136,36 @@ TEST_F(LeftJoinTest, MetadataProbeWorksThroughLeftJoin) {
   EXPECT_EQ(r.schema.num_columns(), 2u);
 }
 
+TEST_F(LeftJoinTest, PaddedColumnsReportNullable) {
+  // ORD.OID is a NOT NULL primary key, but bob's padded row holds NULL
+  // there: the joined schema must say so, while CUST.ID stays NOT NULL.
+  const std::string q = "SELECT * FROM CUST LEFT JOIN ORD ON ID = CUST_ID";
+  StatementResult r = Exec(q + " ORDER BY ID, OID");
+  ASSERT_EQ(r.schema.num_columns(), 5u);
+  EXPECT_EQ(r.schema.column(0).name, "ID");
+  EXPECT_FALSE(r.schema.column(0).nullable);
+  EXPECT_EQ(r.schema.column(2).name, "OID");
+  EXPECT_TRUE(r.schema.column(2).nullable);
+  EXPECT_TRUE(r.rows[2][2].is_null());  // bob
+  // The WHERE 0=1 probe reports the same metadata without running the join.
+  StatementResult probe = Exec(q + " WHERE 0 = 1");
+  ASSERT_EQ(probe.schema.num_columns(), r.schema.num_columns());
+  for (size_t i = 0; i < r.schema.num_columns(); ++i) {
+    EXPECT_EQ(probe.schema.column(i).nullable, r.schema.column(i).nullable)
+        << r.schema.column(i).name;
+  }
+}
+
+TEST_F(LeftJoinTest, SelectStarIntoFromLeftJoin) {
+  StatementResult r =
+      Exec("SELECT * INTO CO FROM CUST LEFT JOIN ORD ON ID = CUST_ID");
+  EXPECT_EQ(r.affected, 4);  // ann×2, bob padded, cat
+  StatementResult copy = Exec(
+      "SELECT NAME, OID FROM CO WHERE OID IS NULL");
+  ASSERT_EQ(copy.rows.size(), 1u);
+  EXPECT_EQ(copy.rows[0][0].AsString(), "bob");
+}
+
 TEST_F(LeftJoinTest, LeftWithoutJoinIsError) {
   EXPECT_FALSE(TryExec("SELECT * FROM CUST LEFT ORD").ok());
 }

@@ -4,6 +4,7 @@
 
 #include "core/phoenix_driver_manager.h"
 
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace phoenix::core {
@@ -36,6 +37,35 @@ class PhoenixBasicTest : public ::testing::Test {
   }
 
   eng::Database* ServerDb() { return cluster_.server.database(); }
+
+  /// Phoenix result tables (PHX_RES_*) the server holds, per SHOW TABLES.
+  size_t ResultTablesOnServer() {
+    DriverManager native(&cluster_.network);
+    Hdbc* ndbc = native.AllocConnect(native.AllocEnv());
+    EXPECT_EQ(native.Connect(ndbc, "testdb", "inspect"), SqlReturn::kSuccess);
+    size_t n = 0;
+    for (const Row& row : MustQuery(&native, ndbc, "SHOW TABLES")) {
+      if (row[0].AsString().rfind("PHX_RES_", 0) == 0) ++n;
+    }
+    native.Disconnect(ndbc);
+    return n;
+  }
+
+  /// Reads every row of `sql` on `stmt`, then closes its cursor.
+  std::vector<Row> ReadAndClose(Hstmt* stmt, const std::string& sql) {
+    EXPECT_EQ(dm_->ExecDirect(stmt, sql), SqlReturn::kSuccess)
+        << sql << " -> " << DriverManager::Diag(stmt).ToString();
+    std::vector<Row> rows;
+    size_t cols = 0;
+    dm_->NumResultCols(stmt, &cols);
+    while (dm_->Fetch(stmt) == SqlReturn::kSuccess) {
+      Row row(cols);
+      for (size_t i = 0; i < cols; ++i) dm_->GetData(stmt, i, &row[i]);
+      rows.push_back(std::move(row));
+    }
+    dm_->CloseCursor(stmt);
+    return rows;
+  }
 
   TestCluster cluster_;
   std::unique_ptr<PhoenixDriverManager> dm_;
@@ -72,30 +102,169 @@ TEST_F(PhoenixBasicTest, SelectIsMaterializedAsPersistentTable) {
   EXPECT_EQ(c.name, "K");
 }
 
+TEST_F(PhoenixBasicTest, MaterializedReadIsOnePrivateRoundTripAndOneCommit) {
+  Hstmt* stmt = dm_->AllocStmt(dbc_);
+  ConnState* cs = PhoenixDriverManager::conn_state(dbc_);
+  // The second read also drops the first read's retired table — inside
+  // the same transaction, so it costs no extra round trip or commit.
+  ReadAndClose(stmt, "SELECT V FROM T WHERE K = 2");
+  ASSERT_EQ(cs->retired_tables.size(), 1u);
+  uint64_t main0 = dbc_->driver->channel()->stats().round_trips;
+  uint64_t priv0 = cs->private_conn->channel()->stats().round_trips;
+  obs::MetricsSnapshot before = obs::MetricsRegistry::Default()->Snapshot();
+  std::vector<Row> rows = ReadAndClose(stmt, "SELECT V FROM T WHERE K = 3");
+  obs::MetricsSnapshot after = obs::MetricsRegistry::Default()->Snapshot();
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0][0].AsString(), "c");
+  uint64_t main_rts = dbc_->driver->channel()->stats().round_trips - main0;
+  uint64_t priv_rts = cs->private_conn->channel()->stats().round_trips - priv0;
+  // Private: probe + materialization script. Main: cursor open, one block
+  // fetch, cursor close.
+  EXPECT_EQ(priv_rts, 1u);
+  EXPECT_EQ(main_rts + priv_rts, 4u);
+  EXPECT_EQ(after.counters["storage.wal.appends"] -
+                before.counters["storage.wal.appends"],
+            1u);
+}
+
+TEST_F(PhoenixBasicTest, RuntimeErrorRollsBackThePrivateTransaction) {
+  Hstmt* stmt = dm_->AllocStmt(dbc_);
+  // The WHERE 0=1 probe compiles fine; the SELECT INTO fails at K = 3,
+  // after the script's BEGIN.
+  EXPECT_EQ(dm_->ExecDirect(stmt, "SELECT 10 / (K - 3) AS Q FROM T"),
+            SqlReturn::kError);
+  EXPECT_NE(DriverManager::Diag(stmt).message().find("division by zero"),
+            std::string::npos)
+      << DriverManager::Diag(stmt).ToString();
+  ConnState* cs = PhoenixDriverManager::conn_state(dbc_);
+  eng::Session* priv = ServerDb()->GetSession(cs->private_conn->session_id());
+  ASSERT_NE(priv, nullptr);
+  EXPECT_EQ(priv->txn, nullptr);
+  // The next read on the connection succeeds.
+  EXPECT_EQ(ReadAndClose(stmt, "SELECT K FROM T ORDER BY K").size(), 5u);
+  EXPECT_EQ(ResultTablesOnServer(), 1u);
+}
+
+TEST_F(PhoenixBasicTest, ClosedResultTablesAreDroppedByTheNextRead) {
+  Hstmt* stmt = dm_->AllocStmt(dbc_);
+  ConnState* cs = PhoenixDriverManager::conn_state(dbc_);
+  for (int i = 0; i < 200; ++i) {
+    int k = 1 + i % 5;
+    std::vector<Row> rows =
+        ReadAndClose(stmt, "SELECT K FROM T WHERE K = " + std::to_string(k));
+    ASSERT_EQ(rows.size(), 1u);
+    ASSERT_EQ(rows[0][0].AsInt64(), k);
+  }
+  // The status table plus the last read's retired result table.
+  EXPECT_LE(cs->artifact_tables.size(), 2u);
+  EXPECT_LE(ResultTablesOnServer(), 2u);
+  ASSERT_EQ(dm_->Disconnect(dbc_), SqlReturn::kSuccess);
+  EXPECT_EQ(ResultTablesOnServer(), 0u);
+}
+
+TEST_F(PhoenixBasicTest, ReExecutingAStatementClosesItsCursor) {
+  Hstmt* stmt = dm_->AllocStmt(dbc_);
+  ConnState* cs = PhoenixDriverManager::conn_state(dbc_);
+  obs::Gauge* oldest_pin =
+      obs::MetricsRegistry::Default()->GetGauge("engine.mvcc.oldest_pin_lsn");
+  int64_t first_pin = 0;
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_EQ(dm_->ExecDirect(stmt, "SELECT K, V FROM T"), SqlReturn::kSuccess);
+    if (i == 0) first_pin = oldest_pin->Value();
+  }
+  eng::Session* app = ServerDb()->GetSession(dbc_->driver->session_id());
+  ASSERT_NE(app, nullptr);
+  EXPECT_LE(app->cursors.size(), 1u);
+  EXPECT_LE(cs->artifact_tables.size(), 2u);
+  if (ServerDb()->mvcc_enabled()) {
+    // The first cursor's snapshot pin was released, so the oldest pin moved
+    // on with the later materializations' commits.
+    EXPECT_GT(oldest_pin->Value(), first_pin);
+  }
+  ASSERT_EQ(dm_->Fetch(stmt), SqlReturn::kSuccess);
+}
+
 TEST_F(PhoenixBasicTest, ResultsIdenticalToNativeOdbc) {
+  // Transparency: through the probe + SELECT INTO materialization the
+  // application sees the native DM's metadata (DescribeCol) and rows.
+  MustExec(dm_.get(), dbc_,
+           "CREATE TABLE U (K INTEGER PRIMARY KEY, W VARCHAR NOT NULL)");
+  MustExec(dm_.get(), dbc_,
+           "INSERT INTO U VALUES (1, 'x'), (3, 'y'), (9, 'z')");
   DriverManager native(&cluster_.network);
-  Henv* nenv = native.AllocEnv();
-  Hdbc* ndbc = native.AllocConnect(nenv);
+  Hdbc* ndbc = native.AllocConnect(native.AllocEnv());
   ASSERT_EQ(native.Connect(ndbc, "testdb", "native"), SqlReturn::kSuccess);
 
-  const char* kQueries[] = {
-      "SELECT * FROM T ORDER BY K",
-      "SELECT V, X * 2 AS XX FROM T WHERE K % 2 = 1 ORDER BY K DESC",
-      "SELECT COUNT(*) AS N, SUM(X) AS S FROM T",
-      "SELECT V FROM T WHERE K BETWEEN 2 AND 4 ORDER BY V",
-      "SELECT DISTINCT UPPER(V) AS U FROM T ORDER BY U",
+  struct Case {
+    const char* sql;
+    CursorMode mode;
   };
-  for (const char* q : kQueries) {
-    std::vector<Row> phoenix_rows = MustQuery(dm_.get(), dbc_, q);
-    std::vector<Row> native_rows = MustQuery(&native, ndbc, q);
-    ASSERT_EQ(phoenix_rows.size(), native_rows.size()) << q;
-    for (size_t i = 0; i < native_rows.size(); ++i) {
-      ASSERT_EQ(phoenix_rows[i].size(), native_rows[i].size());
-      for (size_t j = 0; j < native_rows[i].size(); ++j) {
-        EXPECT_EQ(phoenix_rows[i][j].Compare(native_rows[i][j]), 0)
-            << q << " row " << i << " col " << j;
-      }
+  const Case kCases[] = {
+      {"SELECT * FROM T ORDER BY K", CursorMode::kDefaultResultSet},
+      {"SELECT V, X * 2 AS XX FROM T WHERE K % 2 = 1 ORDER BY K DESC",
+       CursorMode::kDefaultResultSet},
+      {"SELECT COUNT(*) AS N, SUM(X) AS S FROM T",
+       CursorMode::kDefaultResultSet},
+      {"SELECT V FROM T WHERE K BETWEEN 2 AND 4 ORDER BY V",
+       CursorMode::kDefaultResultSet},
+      {"SELECT DISTINCT UPPER(V) AS U FROM T ORDER BY U",
+       CursorMode::kDefaultResultSet},
+      {"SELECT K AS KK, V, X * 2 AS XX, UPPER(V), K + X FROM T ORDER BY K",
+       CursorMode::kStaticCursor},
+      {"SELECT COUNT(*) AS N, SUM(X), MAX(V) AS TOP_V FROM T",
+       CursorMode::kStaticCursor},
+      {"SELECT V, COUNT(*) FROM T GROUP BY V ORDER BY V",
+       CursorMode::kStaticCursor},
+      {"SELECT DISTINCT K % 2 AS PARITY FROM T ORDER BY PARITY",
+       CursorMode::kStaticCursor},
+      {"SELECT K, X FROM T ORDER BY X DESC LIMIT 2", CursorMode::kStaticCursor},
+      {"SELECT * FROM T JOIN U ON T.K = U.K ORDER BY T.K",
+       CursorMode::kStaticCursor},
+      {"SELECT * FROM T LEFT JOIN U ON T.K = U.K ORDER BY T.K",
+       CursorMode::kStaticCursor},
+      {"SELECT K, V FROM T WHERE K <= 4", CursorMode::kKeysetCursor},
+  };
+  for (const Case& c : kCases) {
+    Hstmt* ps = dm_->AllocStmt(dbc_);
+    Hstmt* ns = native.AllocStmt(ndbc);
+    dm_->SetStmtAttr(ps, StmtAttr::kCursorMode, static_cast<int64_t>(c.mode));
+    native.SetStmtAttr(ns, StmtAttr::kCursorMode, static_cast<int64_t>(c.mode));
+    ASSERT_EQ(dm_->ExecDirect(ps, c.sql), SqlReturn::kSuccess)
+        << c.sql << " -> " << DriverManager::Diag(ps).ToString();
+    ASSERT_EQ(native.ExecDirect(ns, c.sql), SqlReturn::kSuccess)
+        << c.sql << " -> " << DriverManager::Diag(ns).ToString();
+    size_t pcols = 0, ncols = 0;
+    dm_->NumResultCols(ps, &pcols);
+    native.NumResultCols(ns, &ncols);
+    ASSERT_EQ(pcols, ncols) << c.sql;
+    for (size_t i = 0; i < ncols; ++i) {
+      Column pc, nc;
+      dm_->DescribeCol(ps, i, &pc);
+      native.DescribeCol(ns, i, &nc);
+      EXPECT_EQ(pc.name, nc.name) << c.sql << " col " << i;
+      EXPECT_EQ(pc.type, nc.type) << c.sql << " col " << i;
+      EXPECT_EQ(pc.nullable, nc.nullable) << c.sql << " col " << nc.name;
     }
+    size_t n = 0;
+    while (true) {
+      SqlReturn pr = dm_->Fetch(ps);
+      SqlReturn nr = native.Fetch(ns);
+      ASSERT_EQ(pr, nr) << c.sql << " row " << n;
+      if (nr != SqlReturn::kSuccess) break;
+      for (size_t i = 0; i < ncols; ++i) {
+        Value pv, nv;
+        dm_->GetData(ps, i, &pv);
+        native.GetData(ns, i, &nv);
+        EXPECT_EQ(pv.is_null(), nv.is_null()) << c.sql << " row " << n;
+        EXPECT_EQ(pv.Compare(nv), 0)
+            << c.sql << " row " << n << ": " << pv.ToString() << " vs "
+            << nv.ToString();
+      }
+      ++n;
+    }
+    EXPECT_GT(n, 0u) << c.sql;
+    dm_->FreeStmt(ps);
+    native.FreeStmt(ns);
   }
   native.Disconnect(ndbc);
 }

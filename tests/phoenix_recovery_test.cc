@@ -204,6 +204,47 @@ TEST_F(PhoenixRecoveryTest, LostReplyRecoveredFromStatusTable) {
   EXPECT_EQ(rows[0][0].AsInt64(), 90);
 }
 
+TEST_F(PhoenixRecoveryTest, LostMaterializationReplyResentExactlyOnce) {
+  // The private script executes and commits, but its reply vanishes:
+  // Phoenix re-sends the whole script, whose DROP TABLE IF EXISTS makes the
+  // SELECT INTO start clean instead of doubling or colliding.
+  ConnState* cs = PhoenixDriverManager::conn_state(dbc_);
+  cs->private_conn->channel()->InjectLoseReplies(1);
+  std::vector<Row> rows =
+      MustQuery(dm_.get(), dbc_, "SELECT N FROM NUMS WHERE N <= 30 ORDER BY N");
+  ASSERT_EQ(rows.size(), 30u);
+  for (int i = 0; i < 30; ++i) EXPECT_EQ(rows[i][0].AsInt64(), i + 1);
+  EXPECT_GE(dm_->stats().transient_retries, 1u);
+  size_t result_tables = 0;
+  for (const Row& row : MustQuery(dm_.get(), dbc_, "SHOW TABLES")) {
+    if (row[0].AsString().rfind("PHX_RES_", 0) == 0) ++result_tables;
+  }
+  EXPECT_EQ(result_tables, 1u);
+}
+
+TEST_F(PhoenixRecoveryTest, LostReplyOfAFailedMaterializationKeepsItsError) {
+  // The script fails after its BEGIN (division by zero at N = 50) and the
+  // error reply is lost. The re-sent copy meets the transaction the first
+  // copy left open; Phoenix rolls it back and runs the script again, so
+  // the application sees the real error and the private session ends up
+  // outside any transaction.
+  ConnState* cs = PhoenixDriverManager::conn_state(dbc_);
+  cs->private_conn->channel()->InjectLoseReplies(1);
+  Hstmt* stmt = dm_->AllocStmt(dbc_);
+  EXPECT_EQ(dm_->ExecDirect(stmt, "SELECT 10 / (N - 50) AS Q FROM NUMS"),
+            SqlReturn::kError);
+  EXPECT_NE(DriverManager::Diag(stmt).message().find("division by zero"),
+            std::string::npos)
+      << DriverManager::Diag(stmt).ToString();
+  eng::Session* priv = cluster_.server.database()->GetSession(
+      cs->private_conn->session_id());
+  ASSERT_NE(priv, nullptr);
+  EXPECT_EQ(priv->txn, nullptr);
+  EXPECT_EQ(
+      MustQuery(dm_.get(), dbc_, "SELECT N FROM NUMS WHERE N <= 3").size(),
+      3u);
+}
+
 TEST_F(PhoenixRecoveryTest, DmlResubmittedWhenCrashPreemptedIt) {
   // Request is lost before reaching the server, then the server also
   // crashes: probe finds nothing, Phoenix resubmits.

@@ -292,7 +292,11 @@ TEST(ProcessServer, MidRequestKillLeavesRowAbsent) {
 // ---------------------------------------------------------------------------
 
 TEST(ProcessServer, MidCheckpointKillBothWindows) {
-  ProcFixture fx("unix", /*ckpt_every=*/2);
+  // Every third commit checkpoints: the CREATE and the first INSERT never
+  // do, so that INSERT is acknowledged before any checkpoint can reach the
+  // armed rendezvous. (At 2, the first INSERT's own checkpoint could hit
+  // it and the kill beat the INSERT's reply.)
+  ProcFixture fx("unix", /*ckpt_every=*/3);
   SKIP_UNLESS_RUNNING(fx);
   auto ch = fx.Connect();
   uint64_t sid = fx.Call(ch.get(), ConnectReq()).session_id;

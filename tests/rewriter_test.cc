@@ -87,11 +87,41 @@ TEST(Rewriter, CreateTableFromMetadataSanitizesNames) {
   EXPECT_TRUE(sql::Parser::ParseStatement(ct.ToSql()).ok());
 }
 
-TEST(Rewriter, InsertSelectMaterialization) {
-  auto sel = ParseSelect("SELECT a, b FROM t WHERE a > 1");
-  std::string sql = MakeInsertSelect("PHX_RES_9", *sel)->ToSql();
-  EXPECT_EQ(sql.rfind("INSERT INTO PHX_RES_9 SELECT", 0), 0u) << sql;
-  EXPECT_TRUE(sql::Parser::ParseStatement(sql).ok());
+TEST(Rewriter, MaterializeScriptIsOneTransaction) {
+  auto sel = ParseSelect("SELECT a, b FROM t WHERE a > 1 ORDER BY b LIMIT 5");
+  std::string sql = MakeMaterializeScript(*sel, *sel, "PHX_RES_9",
+                                         {"PHX_RES_7", "PHX_KEY_8"});
+  auto stmts = sql::Parser::ParseScript(sql);
+  ASSERT_TRUE(stmts.ok()) << sql;
+  ASSERT_EQ(stmts->size(), 7u) << sql;
+  // [0] the WHERE 0=1 probe: the metadata the application sees.
+  EXPECT_EQ((*stmts)[0]->kind, sql::StmtKind::kSelect);
+  EXPECT_TRUE((*stmts)[0]->select->into_table.empty());
+  EXPECT_NE((*stmts)[0]->ToSql().find("(0 = 1)"), std::string::npos);
+  EXPECT_EQ((*stmts)[1]->kind, sql::StmtKind::kBeginTxn);
+  // Retired tables first, then the target itself: a re-sent script starts
+  // clean.
+  EXPECT_EQ((*stmts)[2]->ToSql(), "DROP TABLE IF EXISTS PHX_RES_7");
+  EXPECT_EQ((*stmts)[3]->ToSql(), "DROP TABLE IF EXISTS PHX_KEY_8");
+  EXPECT_EQ((*stmts)[4]->ToSql(), "DROP TABLE IF EXISTS PHX_RES_9");
+  // The SELECT keeps its ORDER BY/LIMIT and gains the INTO.
+  const sql::SelectStmt& into = *(*stmts)[5]->select;
+  EXPECT_EQ(into.into_table, "PHX_RES_9");
+  EXPECT_EQ(into.limit, 5);
+  EXPECT_EQ(into.order_by.size(), 1u);
+  EXPECT_EQ((*stmts)[6]->kind, sql::StmtKind::kCommit);
+}
+
+TEST(Rewriter, MaterializeScriptProbesShownSelectsSource) {
+  auto shown = ParseSelect("SELECT v FROM t WHERE v > 3");
+  auto keys = MakeSelectKeys(*shown, {"K"});
+  std::string sql = MakeMaterializeScript(*shown, *keys, "PHX_KEY_1", {});
+  auto stmts = sql::Parser::ParseScript(sql);
+  ASSERT_TRUE(stmts.ok()) << sql;
+  ASSERT_EQ(stmts->size(), 5u) << sql;
+  EXPECT_EQ((*stmts)[0]->select->items[0].expr->ToSql(), "v");
+  EXPECT_EQ((*stmts)[3]->select->items[0].expr->ToSql(), "K");
+  EXPECT_EQ((*stmts)[3]->select->into_table, "PHX_KEY_1");
 }
 
 TEST(Rewriter, SelectKeysOrdersByPk) {
