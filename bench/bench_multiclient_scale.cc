@@ -69,16 +69,15 @@ int RunClient(net::Network* network, int client_id, int key_base,
   return done;
 }
 
-// ---- Read-while-write mix: MVCC snapshot reads vs classified reads ------
+// ---- Read-while-write mix: snapshot reads against a hot writer ----------
 //
 // One writer commits single-row UPDATEs non-stop over a hot 100-key range
 // while 1..16 reader clients point-read keys from the same range. Readers
 // overlap their wire time (sleep_wire, like the sweep above), so read
 // throughput should keep scaling with the client count even though every
-// read races the writer's exclusive sections; under MVCC the readers
-// additionally pin snapshots and resolve the hot keys through version
-// chains, and the sweep demands that costs them no scaling versus
-// classified reads. One JSON line per cell is appended to BENCH_mvcc.json.
+// read races the writer's exclusive sections and the readers pin snapshots
+// and resolve the hot keys through version chains. One JSON line per cell
+// is written to BENCH_mvcc.json.
 
 constexpr int kMixRows = 2000;
 constexpr int kMixHotKeys = 100;  // writer's UPDATE range; readers hit it too
@@ -86,12 +85,11 @@ constexpr double kMixSecondsPerCell = 0.35;
 constexpr uint64_t kMixLatencyUs = 200;
 
 struct MixCell {
-  bool mvcc = false;
   int readers = 0;
   uint64_t reads = 0;
   uint64_t commits = 0;
   double read_ops_per_sec = 0;
-  double speedup = 0;  // vs the 1-reader cell of the same mode
+  double speedup = 0;  // vs the 1-reader cell
   double commit_p99_ms = 0;
 };
 
@@ -119,10 +117,9 @@ std::unique_ptr<net::Channel> OpenMixSession(net::Network* network,
   return chan;
 }
 
-MixCell RunMixCell(bool mvcc, int readers) {
+MixCell RunMixCell(int readers) {
   storage::SimDisk disk;
   net::ServerOptions opts;
-  opts.db.mvcc = mvcc;  // pin regardless of the PHX_MVCC lane
   opts.worker_threads = static_cast<size_t>(readers) + 2;
   opts.queue_capacity = 256;
   net::DbServer server(&disk, opts);
@@ -209,7 +206,6 @@ MixCell RunMixCell(bool mvcc, int readers) {
   double elapsed = watch.ElapsedSeconds();
 
   MixCell cell;
-  cell.mvcc = mvcc;
   cell.readers = readers;
   cell.reads = reads.load();
   cell.commits = commits.load();
@@ -223,48 +219,46 @@ void RunReadWhileWriteMix() {
               "writer over %d hot keys, %lluus wire\n",
               kMixHotKeys, static_cast<unsigned long long>(kMixLatencyUs));
   PrintRule();
-  std::printf("%6s %8s %10s %12s %9s %14s %10s\n", "mode", "readers", "reads",
+  std::printf("%8s %10s %12s %9s %14s %10s\n", "readers", "reads",
               "reads/sec", "speedup", "commit p99 ms", "commits");
   PrintRule();
 
   std::FILE* json = std::fopen("BENCH_mvcc.json", "w");
-  double scale16_on = 0;
-  double p99_on = 0;
-  double p99_off = 0;
-  for (bool mvcc : {false, true}) {
-    double baseline = 0;
-    for (int readers : {1, 2, 4, 8, 16}) {
-      MixCell cell = RunMixCell(mvcc, readers);
-      if (readers == 1) baseline = cell.read_ops_per_sec;
-      cell.speedup = baseline > 0 ? cell.read_ops_per_sec / baseline : 0;
-      if (mvcc && readers == 16) scale16_on = cell.speedup;
-      if (readers == 16) (mvcc ? p99_on : p99_off) = cell.commit_p99_ms;
-      std::printf("%6s %8d %10llu %12.0f %8.2fx %14.3f %10llu\n",
-                  mvcc ? "mvcc" : "class", cell.readers,
-                  static_cast<unsigned long long>(cell.reads),
-                  cell.read_ops_per_sec, cell.speedup, cell.commit_p99_ms,
+  double baseline = 0;
+  double scale16 = 0;
+  double p99_16 = 0;
+  for (int readers : {1, 2, 4, 8, 16}) {
+    MixCell cell = RunMixCell(readers);
+    if (readers == 1) baseline = cell.read_ops_per_sec;
+    cell.speedup = baseline > 0 ? cell.read_ops_per_sec / baseline : 0;
+    if (readers == 16) {
+      scale16 = cell.speedup;
+      p99_16 = cell.commit_p99_ms;
+    }
+    std::printf("%8d %10llu %12.0f %8.2fx %14.3f %10llu\n", cell.readers,
+                static_cast<unsigned long long>(cell.reads),
+                cell.read_ops_per_sec, cell.speedup, cell.commit_p99_ms,
+                static_cast<unsigned long long>(cell.commits));
+    char line[256];
+    std::snprintf(line, sizeof(line),
+                  "{\"bench\": \"mvcc_read_while_write\", "
+                  "\"readers\": %d, \"reads_per_sec\": %.0f, "
+                  "\"read_speedup\": %.2f, \"commit_p99_ms\": %.3f, "
+                  "\"commits\": %llu}",
+                  cell.readers, cell.read_ops_per_sec, cell.speedup,
+                  cell.commit_p99_ms,
                   static_cast<unsigned long long>(cell.commits));
-      char line[256];
-      std::snprintf(line, sizeof(line),
-                    "{\"bench\": \"mvcc_read_while_write\", \"mvcc\": %s, "
-                    "\"readers\": %d, \"reads_per_sec\": %.0f, "
-                    "\"read_speedup\": %.2f, \"commit_p99_ms\": %.3f, "
-                    "\"commits\": %llu}",
-                    mvcc ? "true" : "false", cell.readers,
-                    cell.read_ops_per_sec, cell.speedup, cell.commit_p99_ms,
-                    static_cast<unsigned long long>(cell.commits));
-      std::printf("BENCH_MVCC_JSON %s\n", line);
-      if (json != nullptr) {
-        std::fputs(line, json);
-        std::fputc('\n', json);
-      }
+    std::printf("BENCH_MVCC_JSON %s\n", line);
+    if (json != nullptr) {
+      std::fputs(line, json);
+      std::fputc('\n', json);
     }
   }
   if (json != nullptr) std::fclose(json);
   PrintRule();
-  std::printf("mvcc 1 -> 16 reader speedup: %.2fx (acceptance floor: 6x); "
-              "commit p99 at 16 readers: mvcc %.3fms vs classified %.3fms\n",
-              scale16_on, p99_on, p99_off);
+  std::printf("1 -> 16 reader speedup: %.2fx (acceptance floor: 6x); "
+              "commit p99 at 16 readers: %.3fms\n",
+              scale16, p99_16);
 }
 
 void Main() {

@@ -24,10 +24,10 @@
 # replay on the worker pool), so the scan-thread/worker handoff, the DDL
 # barriers, and the sticky first-error path are race-checked in both modes.
 #
-# A sixth lane, `mvcc`, runs the MVCC-sensitive suites under TSan with
-# PHX_MVCC=1 (snapshot reads: version installation, pin/reclaim, the
-# committed_lsn_ publish) and again with PHX_MVCC=0 (classified reads), so
-# both read paths — and the writer hooks they share — are race-checked.
+# A sixth lane, `mvcc`, runs the MVCC-sensitive suites once under TSan:
+# snapshot reads (version installation, pin/reclaim, the committed_lsn_
+# publish) and the READ UNCOMMITTED live-heap reads that share the writer
+# hooks are both race-checked, since both run in every build.
 #
 # A seventh lane, `failover`, runs the multi-server suites — two phoenixd
 # incarnations over one data dir, session migration across SIGKILLs, the
@@ -56,7 +56,6 @@ run_lane() {
   # halt_on_error makes any sanitizer report fail the test that produced it.
   PHX_RECOVERY_THREADS="${LANE_RECOVERY_THREADS:-1}" \
   PHX_TRANSPORT="${LANE_TRANSPORT:-inproc}" \
-  PHX_MVCC="${LANE_MVCC:-1}" \
   ASAN_OPTIONS="halt_on_error=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
   TSAN_OPTIONS="halt_on_error=1" \
@@ -90,11 +89,7 @@ case "$want" in
     LANE_RECOVERY_THREADS=1 run_lane tsan thread "$RECOVERY_TESTS"
     LANE_RECOVERY_THREADS=4 run_lane tsan thread "$RECOVERY_TESTS"
     ;;
-  mvcc)
-    # Snapshot-read lane: same build, both read paths race-checked.
-    LANE_MVCC=1 run_lane tsan thread "$MVCC_TESTS"
-    LANE_MVCC=0 run_lane tsan thread "$MVCC_TESTS"
-    ;;
+  mvcc) run_lane tsan thread "$MVCC_TESTS" ;;
   failover)
     # Multi-server lane: session migration across real SIGKILLs plus the
     # chaos failover schedules, both sanitizers.

@@ -1101,7 +1101,7 @@ constexpr int64_t kVisSentinel = 1 << 30;
 
 std::string MvccVisibilityReport::DebugString() const {
   std::string s = "MvccVisibilityReport{seed=" + std::to_string(seed);
-  s += mvcc ? " mvcc=on" : " mvcc=off";
+  s += read_uncommitted ? " readers=uncommitted" : " readers=snapshot";
   s += " ok=" + std::string(ok ? "true" : "false");
   if (!ok) s += " failure=\"" + failure + "\"";
   s += " reads=" + std::to_string(reads);
@@ -1124,9 +1124,8 @@ MvccVisibilityReport RunMvccVisibilitySchedule(
   storage::SimDisk disk;
   eng::DatabaseOptions dopts;
   dopts.disk_prefix = "mvccvis";
-  if (opts.mvcc.has_value()) dopts.mvcc = *opts.mvcc;
-  const bool mvcc_on = dopts.mvcc;
-  report.mvcc = mvcc_on;
+  const bool snapshot_readers = !opts.read_uncommitted;
+  report.read_uncommitted = opts.read_uncommitted;
 
   auto db = std::make_unique<eng::Database>(&disk, dopts);
   if (Status st = db->Open(); !st.ok()) {
@@ -1163,9 +1162,9 @@ MvccVisibilityReport RunMvccVisibilitySchedule(
     }
   }
 
-  // Readers spin on the uniformity invariant. With MVCC on, any torn or
-  // sentinel-bearing observation is an oracle violation; with MVCC off the
-  // tear is the documented classification-mode behavior and only counted.
+  // Readers spin on the uniformity invariant. For snapshot readers any torn
+  // or sentinel-bearing observation is an oracle violation; dirty readers
+  // are expected to see the tear, so it is only counted.
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reads{0};
   std::atomic<uint64_t> torn{0};
@@ -1185,6 +1184,14 @@ MvccVisibilityReport RunMvccVisibilitySchedule(
           record_violation("reader session: " + sid.status().ToString());
           return;
         }
+        if (opts.read_uncommitted) {
+          Status st =
+              db->SetSessionOption(*sid, "ISOLATION", "READ UNCOMMITTED");
+          if (!st.ok()) {
+            record_violation("reader isolation: " + st.ToString());
+            return;
+          }
+        }
         while (!stop.load(std::memory_order_acquire)) {
           int64_t lo = 0, hi = 0;
           if (Status st = min_max(*sid, &lo, &hi); !st.ok()) {
@@ -1194,7 +1201,7 @@ MvccVisibilityReport RunMvccVisibilitySchedule(
           reads.fetch_add(1, std::memory_order_relaxed);
           if (lo != hi || hi == kVisSentinel) {
             torn.fetch_add(1, std::memory_order_relaxed);
-            if (mvcc_on) {
+            if (snapshot_readers) {
               record_violation("snapshot reader observed torn state: MIN(G)=" +
                                std::to_string(lo) + " MAX(G)=" +
                                std::to_string(hi));

@@ -138,24 +138,26 @@ ChaosReport RunChaosSchedule(const ChaosOptions& opts);
 /// one half and ROLL BACK instead.
 ///
 /// The oracle:
-///  - mvcc on: every read is uniform (MIN == MAX) and sentinel-free — a
-///    snapshot reader can never observe the mid-transaction tear, a pending
-///    write, or a rolled-back value. Any violation fails the schedule.
-///  - mvcc off: torn reads are *expected* (classification readers see the
-///    live heap between the writer's statements); they are counted, not
-///    asserted, so the same schedule documents the behavioral delta.
+///  - snapshot readers (the default): every read is uniform (MIN == MAX)
+///    and sentinel-free — a snapshot reader can never observe the
+///    mid-transaction tear, a pending write, or a rolled-back value. Any
+///    violation fails the schedule.
+///  - READ UNCOMMITTED readers: torn reads are *expected* (dirty readers
+///    see the live heap between the writer's statements); they are
+///    counted, not asserted — the control that shows the schedule really
+///    interleaves readers with the writer's tears.
 ///  - crash/restart (optional): midway the Database is destroyed and
 ///    recovered from the SimDisk; the restarted state must be uniform at a
 ///    committed boundary (WAL replay applies whole transactions only).
-///  - the final table image is returned so callers can demand cross-mode
-///    equality (the same seed with mvcc on and off must converge).
+///  - the final table image is returned so callers can demand equality
+///    across reader isolations (the read path must not change the writes).
 struct MvccVisibilityOptions {
   uint64_t seed = 1;
   int n_txns = 30;           ///< committed writer transactions
-  int n_readers = 3;         ///< concurrent snapshot-reader threads
-  /// Engine MVCC override. Unset = inherit the PHX_MVCC environment lane
-  /// (same pattern as ChaosOptions::recovery_threads); set = pin the mode.
-  std::optional<bool> mvcc;
+  int n_readers = 3;         ///< concurrent reader threads
+  /// Reader isolation: false = committed (snapshot) reads, true = READ
+  /// UNCOMMITTED dirty reads of the live heap.
+  bool read_uncommitted = false;
   bool crash_midway = true;  ///< kill + recover the engine mid-schedule
 };
 
@@ -163,7 +165,7 @@ struct MvccVisibilityReport {
   uint64_t seed = 0;
   bool ok = true;
   std::string failure;
-  bool mvcc = false;        ///< resolved engine mode the schedule ran with
+  bool read_uncommitted = false;  ///< reader isolation the schedule ran with
   uint64_t reads = 0;       ///< reader SELECTs completed
   uint64_t torn_reads = 0;  ///< non-uniform MIN/MAX observed
   uint64_t recoveries = 0;  ///< crash/restart cycles performed

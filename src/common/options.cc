@@ -6,13 +6,6 @@ namespace phoenix {
 
 namespace {
 
-bool EnvFlag(const char* name, bool fallback) {
-  const char* e = std::getenv(name);
-  if (e == nullptr || e[0] == '\0') return fallback;
-  return e[0] == '1' || e[0] == 'y' || e[0] == 'Y' || e[0] == 't' ||
-         e[0] == 'T';
-}
-
 uint64_t EnvU64(const char* name, uint64_t fallback) {
   const char* e = std::getenv(name);
   if (e == nullptr || e[0] == '\0') return fallback;
@@ -23,7 +16,9 @@ uint64_t EnvU64(const char* name, uint64_t fallback) {
 
 Options Options::FromEnv() {
   Options o;
-  o.mvcc = EnvFlag("PHX_MVCC", o.mvcc);
+  o.checkpoint_every_n_commits =
+      EnvU64("PHX_CKPT_EVERY", o.checkpoint_every_n_commits);
+  o.worker_threads = EnvU64("PHX_WORKERS", o.worker_threads);
   o.recovery_threads = EnvU64("PHX_RECOVERY_THREADS", o.recovery_threads);
   if (o.recovery_threads == 0) o.recovery_threads = 1;
   const char* transport = std::getenv("PHX_TRANSPORT");

@@ -20,11 +20,10 @@ enum class Transport : uint8_t {
 /// struct (DatabaseOptions, PhoenixConfig) instead of each calling getenv —
 /// the env-variable names below are the only external surface.
 ///
-///   PHX_MVCC=0|1               MVCC snapshot reads: versioned visibility so
-///                              read-only statements evaluate against a
-///                              pinned snapshot instead of holding the data
-///                              lock (default on; =0 restores the pure
-///                              reader-writer classification path)
+///   PHX_CKPT_EVERY=<n>         auto-checkpoint after n logged commits
+///                              (default 0 = manual checkpoints only)
+///   PHX_WORKERS=<n>            phoenixd dispatcher worker threads
+///                              (default 4)
 ///   PHX_RECOVERY_THREADS=<n>   WAL replay worker threads (default 1 =
 ///                              serial replay; >1 partitions replay by table)
 ///   PHX_TRANSPORT=inproc|unix|tcp  client↔server transport for harnesses
@@ -39,7 +38,8 @@ enum class Transport : uint8_t {
 ///                              to the first healthy server (default empty =
 ///                              single-server reconnect only)
 struct Options {
-  bool mvcc = true;
+  uint64_t checkpoint_every_n_commits = 0;
+  uint64_t worker_threads = 4;
   uint64_t recovery_threads = 1;
   Transport transport = Transport::kInproc;
   uint64_t rpc_timeout_ms = 30000;
@@ -47,7 +47,7 @@ struct Options {
   std::vector<std::string> endpoints;
 
   /// The single environment loader. Unset/empty variables keep the field
-  /// defaults above; boolean variables accept 1/y/Y/t/T as true.
+  /// defaults above.
   static Options FromEnv();
 };
 

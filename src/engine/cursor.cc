@@ -49,12 +49,8 @@ Result<std::vector<Row>> Cursor::Fetch(Database* db, Session* session,
         auto rid = t->FindByPk(key);
         if (!rid.ok()) continue;  // row deleted since open: skip the hole
         // Frozen membership means *these rows*, not *these key values*: a
-        // row inserted after open under a recycled key is a phantom. Only
-        // enforced on pinned (MVCC) cursors — unpinned cursors keep the
-        // historical (buggy) key-identity behavior for equivalence with
-        // classification-mode runs.
-        if (pinned_ && slot < key_rids_.size() &&
-            rid.value() != key_rids_[slot]) {
+        // row inserted after open under a recycled key is a phantom.
+        if (slot < key_rids_.size() && rid.value() != key_rids_[slot]) {
           continue;
         }
         const Row* row = t->Find(rid.value());

@@ -73,11 +73,9 @@ class Cursor {
   std::unique_ptr<sql::SelectStmt> select_;  ///< projection + WHERE
   std::vector<Row> keys_;                    ///< keyset only
   /// Keyset only, parallel to keys_: the RowId each key resolved to at open.
-  /// With MVCC on, a fetch that resolves a key to a *different* rid is
-  /// looking at a row inserted after open that merely reuses the key — a
-  /// phantom under frozen membership — and skips it. (Without MVCC the
-  /// guard is off and the classification-mode phantom is a documented
-  /// limitation.)
+  /// A fetch that resolves a key to a *different* rid is looking at a row
+  /// inserted after open that merely reuses the key — a phantom under
+  /// frozen membership — and skips it.
   std::vector<storage::RowId> key_rids_;
   Row last_key_;                             ///< dynamic only
   bool dynamic_started_ = false;

@@ -143,10 +143,10 @@ Result<StatementResult> Database::ExecuteStatement(uint64_t session_id,
       (stmt.kind == StmtKind::kSelect && stmt.select->into_table.empty()) ||
       stmt.kind == StmtKind::kExplain;
   if (read_only) {
-    if (opts_.mvcc && stmt.kind == StmtKind::kSelect) {
-      // MVCC read path: pin a snapshot under a brief shared hold, collect
+    if (stmt.kind == StmtKind::kSelect) {
+      // Committed reads: pin a snapshot under a brief shared hold, collect
       // the working set against it, then project/aggregate/sort off-lock.
-      // Read-uncommitted sessions stay on the classified path below — a
+      // Read-uncommitted sessions read the live heap below instead — a
       // snapshot hides other sessions' pending writes, which is exactly
       // what a dirty-read probe must observe.
       Session* reader = FindSession(session_id);
@@ -155,8 +155,7 @@ Result<StatementResult> Database::ExecuteStatement(uint64_t session_id,
       }
     }
     std::shared_lock<std::shared_mutex> lk(data_mu_);
-    return ExecuteStatementLocked(session_id, stmt, /*can_checkpoint=*/false,
-                                  /*ticket=*/nullptr);
+    return ExecuteStatementLocked(session_id, stmt, /*ticket=*/nullptr);
   }
   // Early lock release: the statement runs — and, if it commits, enqueues
   // its WAL record — under the exclusive lock, but the wait for the batch
@@ -168,8 +167,7 @@ Result<StatementResult> Database::ExecuteStatement(uint64_t session_id,
   storage::WalCommitTicket ticket;
   auto result = [&]() -> Result<StatementResult> {
     std::unique_lock<std::shared_mutex> lk(data_mu_);
-    return ExecuteStatementLocked(session_id, stmt, /*can_checkpoint=*/true,
-                                  &ticket);
+    return ExecuteStatementLocked(session_id, stmt, &ticket);
   }();
   if (ticket) {
     Status forced = durability_.WaitCommit(&ticket);
@@ -179,7 +177,7 @@ Result<StatementResult> Database::ExecuteStatement(uint64_t session_id,
 }
 
 Result<StatementResult> Database::ExecuteStatementLocked(
-    uint64_t session_id, const Statement& stmt, bool can_checkpoint,
+    uint64_t session_id, const Statement& stmt,
     storage::WalCommitTicket* ticket) {
   Session* s = FindSession(session_id);
   if (s == nullptr) {
@@ -196,7 +194,7 @@ Result<StatementResult> Database::ExecuteStatementLocked(
       if (s->txn == nullptr) {
         return Status::SqlError("no transaction in progress");
       }
-      PHX_RETURN_IF_ERROR(Commit(s, can_checkpoint, ticket));
+      PHX_RETURN_IF_ERROR(Commit(s, ticket));
       return StatementResult::Affected(0);
     case StmtKind::kRollback:
       if (s->txn == nullptr) {
@@ -218,10 +216,8 @@ Result<StatementResult> Database::ExecuteStatementLocked(
   auto result = ex.Execute(stmt);
   if (!result.ok()) {
     // Statement-level atomicity: roll back this statement's effects only.
-    Status undo_status =
-        txn_manager_.UndoTo(s->txn.get(), undo_mark, redo_mark, &store_,
-                            &temp_procs_,
-                            opts_.mvcc ? s->txn->id : 0);
+    Status undo_status = txn_manager_.UndoTo(s->txn.get(), undo_mark,
+                                             redo_mark, &store_, &temp_procs_);
     if (autocommit) s->txn.reset();
     if (!undo_status.ok()) return undo_status;
     return result.status();
@@ -231,71 +227,58 @@ Result<StatementResult> Database::ExecuteStatementLocked(
     s->last_rowcount = result.value().affected < 0 ? 0 : result.value().affected;
   }
   if (autocommit) {
-    PHX_RETURN_IF_ERROR(Commit(s, can_checkpoint, ticket));
+    PHX_RETURN_IF_ERROR(Commit(s, ticket));
   }
   return result;
 }
 
-Status Database::Commit(Session* s, bool can_checkpoint,
-                        storage::WalCommitTicket* ticket) {
+Status Database::Commit(Session* s, storage::WalCommitTicket* ticket) {
   Txn* txn = s->txn.get();
-  bool logged = !txn->redo.empty();
-  if (logged) {
-    storage::WalCommitRecord record;
-    record.txn_id = txn->id;
-    record.ops = std::move(txn->redo);
-    if (ticket != nullptr) {
-      // Enqueue only — never blocks on the device while data_mu_ is held.
-      // The caller redeems the ticket after releasing the lock; if the
-      // batch sync fails, the error replaces the statement result, so the
-      // client is never acked for an unforced commit. (The in-memory
-      // mutation stands, as with any post-release log-force failure —
-      // standard early-lock-release semantics.)
-      *ticket = durability_.EnqueueCommit(record);
-    } else {
-      PHX_RETURN_IF_ERROR(durability_.LogCommit(record));
-    }
+  if (txn->redo.empty()) {
+    // Nothing to log: a read-only (or temp-only) transaction ends here. It
+    // does not count toward the checkpoint cadence, which measures the WAL
+    // a restart would replay.
+    s->txn.reset();
+    return Status::Ok();
   }
-  if (opts_.mvcc && logged) {
-    // The commit's LSN was assigned under the exclusive data lock this
-    // caller still holds (a logged commit never arrives via the read-only
-    // path), so last_assigned is exactly this record's LSN. Visibility is
-    // published before durability, matching classification-mode semantics
-    // where in-memory effects are readable the moment the lock drops.
-    MvccCommitLocked(*txn, durability_.wal_writer()->last_assigned_lsn());
+  // Only a mutating statement leaves redo, and mutating statements run
+  // under the exclusive data lock with a ticket to fill — so this commit
+  // may also take a checkpoint.
+  if (ticket == nullptr) {
+    return Status::Internal("logged commit outside the exclusive data lock");
   }
+  storage::WalCommitRecord record;
+  record.txn_id = txn->id;
+  record.ops = std::move(txn->redo);
+  // Enqueue only — never blocks on the device while data_mu_ is held. The
+  // caller redeems the ticket after releasing the lock; if the batch sync
+  // fails, the error replaces the statement result, so the client is never
+  // acked for an unforced commit. (The in-memory mutation stands, as with
+  // any post-release log-force failure — standard early-lock-release
+  // semantics.)
+  *ticket = durability_.EnqueueCommit(record);
+  // The commit's LSN was assigned under the exclusive data lock this caller
+  // still holds, so last_assigned is exactly this record's LSN. Visibility
+  // is published before durability: other sessions' snapshots see the
+  // commit once the lock drops, and its ack still waits for the force.
+  MvccCommitLocked(*txn, durability_.wal_writer()->last_assigned_lsn());
   s->txn.reset();
-  commit_count_.fetch_add(1, std::memory_order_relaxed);
   uint64_t since =
       commits_since_checkpoint_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Taking the snapshot requires data_mu_ held exclusively, which only a
-  // mutating commit (can_checkpoint) has. Active transactions no longer
-  // suppress the checkpoint — their effects are reverted in the snapshot
-  // clone and replay is fenced on the WAL LSN. A due checkpoint that a
-  // shared-lock commit cannot take is recorded (storage.checkpoint.skipped)
-  // and deferred: the next eligible commit fires it even though the commit
-  // counter was already consumed — before the deferral, a read-heavy
-  // workload could cross the threshold on read-only commits forever and
-  // starve checkpoints silently.
+  // Active transactions do not suppress the checkpoint — their effects are
+  // reverted in the snapshot clone and replay is fenced on the WAL LSN. A
+  // failed background image write arms ckpt_deferred_, so the next logged
+  // commit retries even though the counter was already reset.
   const uint64_t n = opts_.checkpoint_every_n_commits;
-  bool due = n > 0 && (since >= n ||
-                       ckpt_deferred_.load(std::memory_order_relaxed));
-  if (due) {
-    if (can_checkpoint) {
-      PHX_RETURN_IF_ERROR(CheckpointLocked());
-    } else {
-      ckpt_deferred_.store(true, std::memory_order_relaxed);
-      obs::MetricsRegistry::Default()
-          ->GetCounter("storage.checkpoint.skipped")
-          ->Increment();
-    }
+  if (n > 0 &&
+      (since >= n || ckpt_deferred_.load(std::memory_order_relaxed))) {
+    PHX_RETURN_IF_ERROR(CheckpointLocked());
   }
   return Status::Ok();
 }
 
 Status Database::Rollback(Session* s) {
-  Status st = txn_manager_.UndoTo(s->txn.get(), 0, 0, &store_, &temp_procs_,
-                                  opts_.mvcc ? s->txn->id : 0);
+  Status st = txn_manager_.UndoTo(s->txn.get(), 0, 0, &store_, &temp_procs_);
   s->txn.reset();
   return st;
 }
@@ -306,10 +289,9 @@ Result<StatementResult> Database::ExecuteSelectSnapshot(
   if (s == nullptr) {
     return Status::NotFound("no such session: " + std::to_string(session_id));
   }
-  bool autocommit = s->txn == nullptr;
-  if (autocommit) s->txn = txn_manager_.Begin();
-  s->txn->MarkStatement();
-
+  // A plain SELECT writes nothing, so it needs no transaction of its own:
+  // it ends without a commit record and never counts toward the checkpoint
+  // cadence.
   Executor ex(this, s);
   storage::MvccSnapshot snap;
   auto bound = [&]() -> Result<BoundRows> {
@@ -318,7 +300,8 @@ Result<StatementResult> Database::ExecuteSelectSnapshot(
     // and ORDER BY/LIMIT all run after the lock is released, so a heavy
     // read never stalls writers for its full duration.
     std::shared_lock<std::shared_mutex> lk(data_mu_);
-    snap = PinSnapshot(s->txn->id);
+    // Inside an explicit transaction the snapshot sees its pending writes.
+    snap = PinSnapshot(s->txn != nullptr ? s->txn->id : 0);
     ex.set_snapshot(&snap);
     return ex.EvaluateFrom(*stmt.select);
   }();
@@ -327,17 +310,6 @@ Result<StatementResult> Database::ExecuteSelectSnapshot(
     return ex.FinishSelect(*stmt.select, bound.take());
   }();
   UnpinSnapshot(snap);
-  if (!result.ok()) {
-    // A plain SELECT leaves no undo/redo behind; statement atomicity is a
-    // mark reset.
-    if (autocommit) s->txn.reset();
-    return result.status();
-  }
-  if (autocommit) {
-    // Empty-redo commit: keeps commit accounting identical to the
-    // classification path (which also commits read-only autocommits).
-    PHX_RETURN_IF_ERROR(Commit(s, /*can_checkpoint=*/false, nullptr));
-  }
   return result;
 }
 
@@ -412,14 +384,6 @@ void Database::MvccCommitLocked(const Txn& txn, uint64_t lsn) {
   reg->GetGauge("engine.mvcc.versions_live")->Set(live);
 }
 
-bool Database::AnyActiveTxn() const {
-  std::shared_lock<std::shared_mutex> lk(sessions_mu_);
-  for (const auto& [id, s] : sessions_) {
-    if (s->txn != nullptr) return true;
-  }
-  return false;
-}
-
 Result<Database::CheckpointSnapshot> Database::TakeSnapshotLocked() {
   StopWatch watch;
   CheckpointSnapshot snap;
@@ -489,10 +453,6 @@ Status Database::Checkpoint() {
   return WriteSnapshotSerialized(snap_res.take(), /*truncate_wal=*/true);
 }
 
-Status Database::CheckpointWithoutWalTruncate() {
-  return CheckpointForCrashTest(CheckpointCrashPoint::kPostImage);
-}
-
 Status Database::CheckpointForCrashTest(CheckpointCrashPoint point,
                                         bool* image_written) {
   if (image_written != nullptr) *image_written = false;
@@ -547,8 +507,8 @@ void Database::CheckpointThreadLoop() {
                       obs::Histogram::LatencyBoundsUs())
         ->Record(static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
     if (!st.ok()) {
-      // The image never landed; arm the deferral so the next eligible
-      // commit takes a fresh snapshot and retries.
+      // The image never landed; arm the deferral so the next logged commit
+      // takes a fresh snapshot and retries.
       ckpt_deferred_.store(true, std::memory_order_relaxed);
       reg->GetCounter("storage.checkpoint.bg_write_failures")->Increment();
     }
@@ -586,7 +546,7 @@ Result<Cursor*> Database::OpenCursor(uint64_t session_id,
   // key collection evaluates against it, and the pin (released at close)
   // bounds version reclamation for as long as the cursor lives. Dynamic
   // cursors are fluid by definition and stay unpinned.
-  if (opts_.mvcc && !s->reads_uncommitted() && type != CursorType::kDynamic) {
+  if (!s->reads_uncommitted() && type != CursorType::kDynamic) {
     // Pin under the session's own transaction id (when one is open) so the
     // cursor sees that transaction's pending writes, exactly as the live
     // heap would have shown them.
@@ -749,10 +709,8 @@ Result<storage::RowId> Database::TxInsert(Txn* txn, storage::Table* table,
   undo.table = table->name();
   undo.rid = rid;
   txn->undo.push_back(std::move(undo));
-  if (opts_.mvcc && !table->temporary()) {
-    table->MvccNoteInsert(rid, txn->id);
-  }
   if (!table->temporary()) {
+    table->MvccNoteInsert(rid, txn->id);
     txn->redo.push_back(
         storage::WalOp::Insert(table->name(), rid, *table->Find(rid)));
   }
@@ -772,14 +730,12 @@ Status Database::TxDelete(Txn* txn, storage::Table* table,
   undo.rid = rid;
   undo.row = *old;
   PHX_RETURN_IF_ERROR(table->Delete(rid));
-  if (opts_.mvcc && !table->temporary()) {
+  if (!table->temporary()) {
     // Retain the pre-image as a version pending under this transaction.
     table->MvccNoteDelete(rid, undo.row, txn->id);
-  }
-  txn->undo.push_back(std::move(undo));
-  if (!table->temporary()) {
     txn->redo.push_back(storage::WalOp::Delete(table->name(), rid));
   }
+  txn->undo.push_back(std::move(undo));
   return Status::Ok();
 }
 
@@ -796,14 +752,12 @@ Status Database::TxUpdate(Txn* txn, storage::Table* table, storage::RowId rid,
   undo.rid = rid;
   undo.row = *old;
   PHX_RETURN_IF_ERROR(table->Update(rid, std::move(new_row)));
-  if (opts_.mvcc && !table->temporary()) {
-    table->MvccNoteUpdate(rid, undo.row, txn->id);
-  }
-  txn->undo.push_back(std::move(undo));
   if (!table->temporary()) {
+    table->MvccNoteUpdate(rid, undo.row, txn->id);
     txn->redo.push_back(
         storage::WalOp::Update(table->name(), rid, *table->Find(rid)));
   }
+  txn->undo.push_back(std::move(undo));
   return Status::Ok();
 }
 

@@ -43,25 +43,18 @@ struct DatabaseOptions {
   /// modes without code changes.
   DatabaseOptions() : DatabaseOptions(phoenix::Options::FromEnv()) {}
   explicit DatabaseOptions(const phoenix::Options& o)
-      : mvcc(o.mvcc),
+      : checkpoint_every_n_commits(o.checkpoint_every_n_commits),
         recovery_threads(o.recovery_threads) {}
 
   /// SimDisk file prefix ("<prefix>.wal", "<prefix>.ckpt").
   std::string disk_prefix = "phxdb";
-  /// Auto-checkpoint after this many commits (0 = manual Checkpoint() only).
-  uint64_t checkpoint_every_n_commits = 0;
+  /// Auto-checkpoint after this many logged commits — commits that wrote a
+  /// WAL record (PHX_CKPT_EVERY; 0 = manual Checkpoint() only).
+  uint64_t checkpoint_every_n_commits;
   /// First session id to hand out. The server passes a value that keeps ids
   /// unique across process restarts, so a stale pre-crash session id can
   /// never accidentally name a post-crash session.
   uint64_t first_session_id = 1;
-  /// MVCC snapshot reads (PHX_MVCC): read-only SELECTs pin a commit-LSN
-  /// snapshot, collect visible rows under a brief shared hold, and run
-  /// projection/aggregation/sort off the data lock; writers install row
-  /// versions at commit and pending writes are invisible to other
-  /// sessions. Off = the pure reader-writer classification path (readers
-  /// hold the shared lock for the whole statement and can observe another
-  /// session's uncommitted writes between its statements).
-  bool mvcc;
   /// Worker threads for partitioned WAL replay during Open()'s recovery
   /// (PHX_RECOVERY_THREADS). 1 = serial streaming replay; either mode
   /// produces an identical store (DESIGN.md §15).
@@ -80,15 +73,19 @@ struct DatabaseOptions {
 ///
 /// Concurrency model (DESIGN.md §Concurrency):
 ///  - data_mu_ is a reader/writer lock over all shared engine state (tables,
-///    catalog, WAL tail, temp procs). Plain SELECTs and cursor operations
-///    take it SHARED; everything that can mutate (DML, DDL, transaction
-///    control, EXEC, session close, checkpoint) takes it EXCLUSIVE.
+///    catalog, WAL tail, temp procs). Everything that can mutate (DML, DDL,
+///    transaction control, EXEC, session close, checkpoint) takes it
+///    EXCLUSIVE. Readers take it SHARED: a plain SELECT or a static/keyset
+///    cursor open only long enough to pin an MVCC snapshot and collect its
+///    working set, and only READ UNCOMMITTED SELECTs, EXPLAIN and dynamic
+///    cursors read the live heap for the whole statement.
 ///  - sessions_mu_ guards only the session *map*. Session *contents* need no
 ///    lock: the server serializes requests per session, so at most one
 ///    thread touches a given Session at a time.
 ///  - Lock order: data_mu_ before sessions_mu_. WAL/disk locks are leaves.
-///  - Auto-checkpoint fires only on the exclusive (mutating) commit path;
-///    read-only commits just bump the atomic counters.
+///  - Auto-checkpoint counts logged commits only, and those all run on the
+///    exclusive (mutating) path; a read-only transaction ends without a
+///    commit record and never reaches the cadence check.
 /// Open() is not thread-safe; it runs before the server accepts requests.
 class Database {
  public:
@@ -146,11 +143,6 @@ class Database {
   /// snapshot time. The image write happens off the data lock, so other
   /// sessions keep executing during it.
   Status Checkpoint();
-  /// Crash point for fault tests: writes the checkpoint image durably but
-  /// dies (logically) before truncating the WAL — the durable state a crash
-  /// in the middle of Checkpoint() leaves behind. Recovery must skip the
-  /// WAL records the image subsumes instead of double-applying them.
-  Status CheckpointWithoutWalTruncate();
   /// Runs the checkpoint protocol up to (not including) the step named by
   /// `point`, leaving exactly the durable state a crash in that window
   /// leaves. `image_written` (optional) reports whether a (non-stale) image
@@ -161,9 +153,6 @@ class Database {
   /// Tests and benches use it to make "a checkpoint has happened" a stable
   /// assertion.
   void WaitForCheckpointIdle();
-  uint64_t commit_count() const {
-    return commit_count_.load(std::memory_order_relaxed);
-  }
 
   // Callers of the accessors below must hold data_mu_ (Executor and Cursor
   // run inside a locked statement; tests use them single-threaded).
@@ -191,7 +180,6 @@ class Database {
                      const std::string& index_name);
 
   // ---- MVCC snapshots ----------------------------------------------------
-  bool mvcc_enabled() const { return opts_.mvcc; }
   /// Highest published commit LSN — the visibility horizon new snapshots
   /// pin. Updated (release) after every commit's stamps are finalized.
   uint64_t committed_lsn() const {
@@ -226,16 +214,16 @@ class Database {
   friend class Cursor;
 
   /// Body of ExecuteStatement; caller holds data_mu_ (shared for read-only
-  /// statements, exclusive otherwise — can_checkpoint says which). A
+  /// statements, which pass a null ticket; exclusive otherwise). A
   /// committing statement deposits its durability ticket in `*ticket`
   /// instead of blocking on the sync inside the lock; the caller
   /// MUST redeem it with durability_.WaitCommit() after releasing data_mu_
   /// and before reporting success (early lock release — the ack still waits
   /// for the fsync, but other sessions' commits can join the same batch).
   Result<StatementResult> ExecuteStatementLocked(
-      uint64_t session_id, const sql::Statement& stmt, bool can_checkpoint,
+      uint64_t session_id, const sql::Statement& stmt,
       storage::WalCommitTicket* ticket);
-  /// The MVCC read path for a plain SELECT: pin a snapshot + collect the
+  /// The committed-read path for a plain SELECT: pin a snapshot + collect the
   /// visible working set under a brief shared hold of data_mu_, then run
   /// projection/aggregation/DISTINCT/ORDER BY/LIMIT with no lock held.
   Result<StatementResult> ExecuteSelectSnapshot(uint64_t session_id,
@@ -248,8 +236,11 @@ class Database {
   /// Min pinned snapshot LSN, or the commit horizon when nothing is pinned.
   uint64_t MvccWatermark() const;
   Session* FindSession(uint64_t session_id) const;
-  Status Commit(Session* session, bool can_checkpoint,
-                storage::WalCommitTicket* ticket);
+  /// Ends the session's transaction. A transaction with redo enqueues its
+  /// WAL record into `*ticket` (so it must run under the exclusive lock),
+  /// publishes its versions, and advances the checkpoint cadence; one
+  /// without redo just ends.
+  Status Commit(Session* session, storage::WalCommitTicket* ticket);
   Status Rollback(Session* session);
 
   /// The fast half of a checkpoint: a committed-state-only clone of the
@@ -275,7 +266,6 @@ class Database {
   /// (a still-pending older snapshot is superseded and counted as skipped).
   Status CheckpointLocked();
   void CheckpointThreadLoop();
-  bool AnyActiveTxn() const;
 
   storage::SimDisk* disk_;
   DatabaseOptions opts_;
@@ -305,11 +295,11 @@ class Database {
 
   std::atomic<bool> index_planner_{true};
   std::atomic<uint64_t> next_session_id_{1};
-  std::atomic<uint64_t> commit_count_{0};
+  /// Logged commits since the last snapshot (seeded at Open() with the WAL
+  /// records recovery replayed).
   std::atomic<uint64_t> commits_since_checkpoint_{0};
-  /// An auto-checkpoint came due but could not run (shared-lock commit, or
-  /// a background write failed); the next eligible commit fires one even
-  /// though the commit counter was already consumed.
+  /// A background image write failed; the next logged commit takes a fresh
+  /// snapshot even though the commit counter was already reset.
   std::atomic<bool> ckpt_deferred_{false};
 
   // Background checkpoint pipeline. Lock order: data_mu_ → ckpt_mu_, and

@@ -22,12 +22,11 @@ Status RestoreIndexes(const storage::Table& snapshot, storage::Table* created) {
 }  // namespace
 
 Status TxnManager::UndoTo(Txn* txn, size_t undo_from, size_t redo_from,
-                          storage::TableStore* store, ProcRegistry* procs,
-                          uint64_t mvcc_txn) {
+                          storage::TableStore* store, ProcRegistry* procs) {
   while (txn->undo.size() > undo_from) {
     UndoRecord rec = std::move(txn->undo.back());
     txn->undo.pop_back();
-    PHX_RETURN_IF_ERROR(ApplyUndo(rec, store, procs, mvcc_txn));
+    PHX_RETURN_IF_ERROR(ApplyUndo(rec, store, procs, txn->id));
   }
   if (txn->redo.size() > redo_from) txn->redo.resize(redo_from);
   return Status::Ok();
@@ -97,27 +96,27 @@ Status TxnManager::RevertInClone(const Txn& txn, storage::TableStore* clone) {
 
 Status TxnManager::ApplyUndo(const UndoRecord& rec,
                              storage::TableStore* store, ProcRegistry* procs,
-                             uint64_t mvcc_txn) {
+                             uint64_t txn_id) {
   switch (rec.kind) {
     case UndoRecord::Kind::kInsert: {
       storage::Table* t = store->Get(rec.table);
       if (t == nullptr) return Status::Internal("undo-insert: missing table");
       PHX_RETURN_IF_ERROR(t->Delete(rec.rid));
-      if (mvcc_txn != 0) t->MvccUndoInsert(rec.rid, mvcc_txn);
+      t->MvccUndoInsert(rec.rid, txn_id);
       return Status::Ok();
     }
     case UndoRecord::Kind::kDelete: {
       storage::Table* t = store->Get(rec.table);
       if (t == nullptr) return Status::Internal("undo-delete: missing table");
       PHX_RETURN_IF_ERROR(t->Insert(rec.row, rec.rid).status());
-      if (mvcc_txn != 0) t->MvccUndoDelete(rec.rid, mvcc_txn);
+      t->MvccUndoDelete(rec.rid, txn_id);
       return Status::Ok();
     }
     case UndoRecord::Kind::kUpdate: {
       storage::Table* t = store->Get(rec.table);
       if (t == nullptr) return Status::Internal("undo-update: missing table");
       PHX_RETURN_IF_ERROR(t->Update(rec.rid, rec.row));
-      if (mvcc_txn != 0) t->MvccUndoUpdate(rec.rid, mvcc_txn);
+      t->MvccUndoUpdate(rec.rid, txn_id);
       return Status::Ok();
     }
     case UndoRecord::Kind::kCreateTable:

@@ -81,13 +81,11 @@ class TxnManager {
     next_id_.store(id, std::memory_order_relaxed);
   }
 
-  /// Undoes records [from, end) in reverse order and truncates them.
-  /// `mvcc_txn` != 0 additionally unwinds the MVCC version notes the engine
-  /// attached under that transaction id (0 = versioning off; the storage
-  /// hooks self-gate, so a stray id on a note-free table is a no-op).
+  /// Undoes records [from, end) in reverse order and truncates them, and
+  /// unwinds the MVCC version notes the engine attached under txn->id (the
+  /// storage hooks self-gate, so a note-free temp table is a no-op).
   Status UndoTo(Txn* txn, size_t undo_from, size_t redo_from,
-                storage::TableStore* store, ProcRegistry* procs,
-                uint64_t mvcc_txn = 0);
+                storage::TableStore* store, ProcRegistry* procs);
 
   /// Applies `txn`'s whole undo stack, in reverse, to a checkpoint CLONE —
   /// without consuming it (the live transaction keeps running). Under the
@@ -100,7 +98,7 @@ class TxnManager {
 
  private:
   Status ApplyUndo(const UndoRecord& rec, storage::TableStore* store,
-                   ProcRegistry* procs, uint64_t mvcc_txn);
+                   ProcRegistry* procs, uint64_t txn_id);
   std::atomic<uint64_t> next_id_;
 };
 

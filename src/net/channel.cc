@@ -167,71 +167,6 @@ std::future<Result<Response>> InprocChannel::RoundTripAsync(
       });
 }
 
-Result<std::vector<Response>> InprocChannel::RoundTripBatch(
-    std::vector<Request> requests) {
-  if (requests.empty()) return std::vector<Response>{};
-  auto* reg = obs::MetricsRegistry::Default();
-  round_trips_.fetch_add(1, std::memory_order_relaxed);
-  reg->GetCounter("net.round_trips")->Increment();
-  reg->GetCounter("net.batches")->Increment();
-
-  for (Request& r : requests) {
-    if (r.request_id == 0) r.request_id = next_request_id_.fetch_add(1) + 1;
-  }
-  uint64_t first_id = requests.front().request_id;
-  obs::Tracer::Default()->Emit(
-      "net.batch_request", {{"request_id", std::to_string(first_id)},
-                            {"count", std::to_string(requests.size())}});
-
-  if (disconnected_.load()) {
-    return Status::CommError("connection closed by client");
-  }
-  if (ClaimFault(&drop_requests_)) {
-    faults_injected_.fetch_add(1, std::memory_order_relaxed);
-    reg->GetCounter("net.faults.dropped_requests")->Increment();
-    return Status::CommError("connection reset (request lost)");
-  }
-  BatchRequest batch;
-  batch.requests = std::move(requests);
-  std::string wire_request = batch.Encode();
-  bytes_sent_.fetch_add(wire_request.size(), std::memory_order_relaxed);
-  reg->GetCounter("net.bytes_sent")->Increment(wire_request.size());
-  SimulateWire(wire_request.size());
-
-  if (!server_->alive()) {
-    return Status::CommError("connection reset by peer (server down)");
-  }
-  PHX_ASSIGN_OR_RETURN(BatchRequest decoded, BatchRequest::Decode(wire_request));
-  bool lose_reply = ClaimFault(&lose_replies_);
-  if (lose_reply) {
-    faults_injected_.fetch_add(1, std::memory_order_relaxed);
-    reg->GetCounter("net.faults.lost_replies")->Increment();
-  }
-  BatchResponse response = server_->HandleBatch(decoded);
-  // Connection-dead beats reply-lost, exactly as in RoundTripAsync — but
-  // only when NO request in the batch executed. A batch that straddled the
-  // crash (some executed, then intake closed) must stay kTimeout under a
-  // claimed token: those executed requests' fates are genuinely unknown to
-  // a client whose reply vanished.
-  bool none_executed = !response.responses.empty();
-  for (const Response& r : response.responses) {
-    if (!IsUnexecutedRejection(r)) none_executed = false;
-  }
-  if (none_executed) {
-    return Status::CommError(response.responses.front().error_message);
-  }
-  std::string wire_response = response.Encode();
-  if (lose_reply) {
-    // Every request in the batch executed; the one reply message vanished.
-    return Status::Timeout("no response from server");
-  }
-  bytes_received_.fetch_add(wire_response.size(), std::memory_order_relaxed);
-  reg->GetCounter("net.bytes_received")->Increment(wire_response.size());
-  SimulateWire(wire_response.size());
-  PHX_ASSIGN_OR_RETURN(BatchResponse reply, BatchResponse::Decode(wire_response));
-  return std::move(reply.responses);
-}
-
 Result<std::unique_ptr<Channel>> Network::Connect(const std::string& name) {
   auto it = servers_.find(name);
   if (it != servers_.end()) {

@@ -7,7 +7,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "net/db_server.h"
@@ -88,13 +87,6 @@ class Channel {
   virtual std::future<Result<Response>> RoundTripAsync(
       const Request& request) = 0;
 
-  /// Ships `requests` as ONE wire message (BatchRequest framing), lets the
-  /// server execute them concurrently (per-session order preserved), and
-  /// returns the responses in request order. One round trip, one fault
-  /// token: a drop or lost reply hits the whole batch.
-  virtual Result<std::vector<Response>> RoundTripBatch(
-      std::vector<Request> requests) = 0;
-
   /// The next `n` round trips fail with kCommError before reaching the
   /// server (request lost).
   void InjectDropRequests(int n) { drop_requests_.store(n); }
@@ -139,8 +131,6 @@ class InprocChannel final : public Channel {
       : server_(server), config_(config) {}
 
   std::future<Result<Response>> RoundTripAsync(const Request& request) override;
-  Result<std::vector<Response>> RoundTripBatch(
-      std::vector<Request> requests) override;
   DbServer* server() override { return server_; }
 
  private:

@@ -201,21 +201,6 @@ std::future<Response> DbServer::HandleAsync(const Request& request) {
   return future;
 }
 
-BatchResponse DbServer::HandleBatch(const BatchRequest& batch) {
-  std::vector<std::future<Response>> futures;
-  futures.reserve(batch.requests.size());
-  for (const Request& request : batch.requests) {
-    futures.push_back(HandleAsync(request));
-  }
-  BatchResponse response;
-  response.responses.reserve(futures.size());
-  for (auto& f : futures) response.responses.push_back(f.get());
-  obs::MetricsRegistry::Default()
-      ->GetCounter("server.batches_handled")
-      ->Increment();
-  return response;
-}
-
 Response DbServer::Dispatch(const Request& req) {
   // Runs on a pool worker. db_ is stable for the whole task: Crash() drains
   // the pool (joining this thread) before destroying the Database.

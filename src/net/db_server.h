@@ -117,11 +117,6 @@ class DbServer {
   /// submitted in order execute in order.
   std::future<Response> HandleAsync(const Request& request);
 
-  /// Executes a decoded batch: every request is dispatched (concurrently
-  /// across sessions, in order within one), and the responses are returned
-  /// in request order.
-  BatchResponse HandleBatch(const BatchRequest& batch);
-
   eng::Database* database() { return db_.get(); }
   storage::SimDisk* disk() { return disk_; }
 

@@ -25,7 +25,7 @@ void StoreU32(uint32_t v, std::string* out) {
 
 bool ValidType(uint8_t t) {
   return t >= static_cast<uint8_t>(FrameType::kRequest) &&
-         t <= static_cast<uint8_t>(FrameType::kBatchResponse);
+         t <= static_cast<uint8_t>(FrameType::kResponse);
 }
 
 }  // namespace

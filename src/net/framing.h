@@ -18,19 +18,17 @@ namespace phoenix::net {
 ///        4     1  type (FrameType below)
 ///        5     8  correlation id, little-endian
 ///       13     4  payload length N, little-endian
-///       17     N  payload (a Request / Response / BatchRequest /
-///                 BatchResponse encoding — PHXB/PHXR framing included)
+///       17     N  payload (a Request / Response encoding)
 ///
-/// The correlation id is how a reply finds its waiter: for single messages
-/// it equals the Request's request_id, for batches it is a channel-assigned
-/// batch id (a BatchResponse has no id of its own). The payload codecs stay
-/// byte-identical to the in-process transport — the frame is purely the
-/// stream-chunking layer underneath them.
+/// The correlation id is how a reply finds its waiter: it equals the
+/// Request's request_id. The payload codecs stay byte-identical to the
+/// in-process transport — the frame is purely the stream-chunking layer
+/// underneath them. Every other type byte — 3 and 4 included, the retired
+/// batch frames — cannot start a frame and is skipped by the resync rule
+/// below.
 enum class FrameType : uint8_t {
   kRequest = 1,
   kResponse = 2,
-  kBatchRequest = 3,
-  kBatchResponse = 4,
 };
 
 struct Frame {

@@ -1,50 +1,40 @@
 #include "net/protocol.h"
 
-#include <set>
-
 namespace phoenix::net {
-
-void Request::EncodeTo(Encoder* enc) const {
-  enc->PutU8(static_cast<uint8_t>(kind));
-  enc->PutU64(request_id);
-  enc->PutU64(session_id);
-  enc->PutString(user);
-  enc->PutString(name);
-  enc->PutString(value);
-  enc->PutString(sql);
-  enc->PutU8(cursor_type);
-  enc->PutU64(cursor_id);
-  enc->PutU64(n);
-}
 
 std::string Request::Encode() const {
   Encoder enc;
-  EncodeTo(&enc);
+  enc.PutU8(static_cast<uint8_t>(kind));
+  enc.PutU64(request_id);
+  enc.PutU64(session_id);
+  enc.PutString(user);
+  enc.PutString(name);
+  enc.PutString(value);
+  enc.PutString(sql);
+  enc.PutU8(cursor_type);
+  enc.PutU64(cursor_id);
+  enc.PutU64(n);
   return enc.Take();
-}
-
-Result<Request> Request::DecodeFrom(Decoder* dec) {
-  Request r;
-  PHX_ASSIGN_OR_RETURN(uint8_t kind_raw, dec->GetU8());
-  if (kind_raw > static_cast<uint8_t>(Kind::kAdmin)) {
-    return Status::IoError("bad request kind");
-  }
-  r.kind = static_cast<Kind>(kind_raw);
-  PHX_ASSIGN_OR_RETURN(r.request_id, dec->GetU64());
-  PHX_ASSIGN_OR_RETURN(r.session_id, dec->GetU64());
-  PHX_ASSIGN_OR_RETURN(r.user, dec->GetString());
-  PHX_ASSIGN_OR_RETURN(r.name, dec->GetString());
-  PHX_ASSIGN_OR_RETURN(r.value, dec->GetString());
-  PHX_ASSIGN_OR_RETURN(r.sql, dec->GetString());
-  PHX_ASSIGN_OR_RETURN(r.cursor_type, dec->GetU8());
-  PHX_ASSIGN_OR_RETURN(r.cursor_id, dec->GetU64());
-  PHX_ASSIGN_OR_RETURN(r.n, dec->GetU64());
-  return r;
 }
 
 Result<Request> Request::Decode(const std::string& bytes) {
   Decoder dec(bytes);
-  return DecodeFrom(&dec);
+  Request r;
+  PHX_ASSIGN_OR_RETURN(uint8_t kind_raw, dec.GetU8());
+  if (kind_raw > static_cast<uint8_t>(Kind::kAdmin)) {
+    return Status::IoError("bad request kind");
+  }
+  r.kind = static_cast<Kind>(kind_raw);
+  PHX_ASSIGN_OR_RETURN(r.request_id, dec.GetU64());
+  PHX_ASSIGN_OR_RETURN(r.session_id, dec.GetU64());
+  PHX_ASSIGN_OR_RETURN(r.user, dec.GetString());
+  PHX_ASSIGN_OR_RETURN(r.name, dec.GetString());
+  PHX_ASSIGN_OR_RETURN(r.value, dec.GetString());
+  PHX_ASSIGN_OR_RETURN(r.sql, dec.GetString());
+  PHX_ASSIGN_OR_RETURN(r.cursor_type, dec.GetU8());
+  PHX_ASSIGN_OR_RETURN(r.cursor_id, dec.GetU64());
+  PHX_ASSIGN_OR_RETURN(r.n, dec.GetU64());
+  return r;
 }
 
 void EncodeStatementResult(const eng::StatementResult& r, Encoder* enc) {
@@ -98,132 +88,58 @@ Status Response::ToStatus() const {
   return Status(error_code, error_message);
 }
 
-void Response::EncodeTo(Encoder* enc) const {
-  enc->PutU8(static_cast<uint8_t>(kind));
-  enc->PutU64(request_id);
-  enc->PutU8(static_cast<uint8_t>(error_code));
-  enc->PutString(error_message);
-  enc->PutU64(session_id);
-  enc->PutU32(static_cast<uint32_t>(results.size()));
-  for (const auto& r : results) EncodeStatementResult(r, enc);
-  enc->PutU64(cursor_id);
-  enc->PutSchema(schema);
-  enc->PutU64(cursor_size);
-  enc->PutU64(rows.size());
-  for (const Row& row : rows) enc->PutRow(row);
-  enc->PutBool(done);
-  enc->PutU64(server_epoch);
-}
-
 std::string Response::Encode() const {
   Encoder enc;
-  EncodeTo(&enc);
+  enc.PutU8(static_cast<uint8_t>(kind));
+  enc.PutU64(request_id);
+  enc.PutU8(static_cast<uint8_t>(error_code));
+  enc.PutString(error_message);
+  enc.PutU64(session_id);
+  enc.PutU32(static_cast<uint32_t>(results.size()));
+  for (const auto& r : results) EncodeStatementResult(r, &enc);
+  enc.PutU64(cursor_id);
+  enc.PutSchema(schema);
+  enc.PutU64(cursor_size);
+  enc.PutU64(rows.size());
+  for (const Row& row : rows) enc.PutRow(row);
+  enc.PutBool(done);
+  enc.PutU64(server_epoch);
   return enc.Take();
-}
-
-Result<Response> Response::DecodeFrom(Decoder* dec) {
-  Response r;
-  PHX_ASSIGN_OR_RETURN(uint8_t kind_raw, dec->GetU8());
-  if (kind_raw > static_cast<uint8_t>(Kind::kPong)) {
-    return Status::IoError("bad response kind");
-  }
-  r.kind = static_cast<Kind>(kind_raw);
-  PHX_ASSIGN_OR_RETURN(r.request_id, dec->GetU64());
-  PHX_ASSIGN_OR_RETURN(uint8_t code_raw, dec->GetU8());
-  if (code_raw > static_cast<uint8_t>(StatusCode::kInternal)) {
-    return Status::IoError("bad status code");
-  }
-  r.error_code = static_cast<StatusCode>(code_raw);
-  PHX_ASSIGN_OR_RETURN(r.error_message, dec->GetString());
-  PHX_ASSIGN_OR_RETURN(r.session_id, dec->GetU64());
-  PHX_ASSIGN_OR_RETURN(uint32_t nresults, dec->GetU32());
-  for (uint32_t i = 0; i < nresults; ++i) {
-    PHX_ASSIGN_OR_RETURN(eng::StatementResult sr, DecodeStatementResult(dec));
-    r.results.push_back(std::move(sr));
-  }
-  PHX_ASSIGN_OR_RETURN(r.cursor_id, dec->GetU64());
-  PHX_ASSIGN_OR_RETURN(r.schema, dec->GetSchema());
-  PHX_ASSIGN_OR_RETURN(r.cursor_size, dec->GetU64());
-  PHX_ASSIGN_OR_RETURN(uint64_t nrows, dec->GetU64());
-  r.rows.reserve(nrows);
-  for (uint64_t i = 0; i < nrows; ++i) {
-    PHX_ASSIGN_OR_RETURN(Row row, dec->GetRow());
-    r.rows.push_back(std::move(row));
-  }
-  PHX_ASSIGN_OR_RETURN(r.done, dec->GetBool());
-  PHX_ASSIGN_OR_RETURN(r.server_epoch, dec->GetU64());
-  return r;
 }
 
 Result<Response> Response::Decode(const std::string& bytes) {
   Decoder dec(bytes);
-  return DecodeFrom(&dec);
-}
-
-std::string BatchRequest::Encode() const {
-  Encoder enc;
-  enc.PutU32(kMagic);
-  enc.PutU32(static_cast<uint32_t>(requests.size()));
-  for (const Request& r : requests) r.EncodeTo(&enc);
-  return enc.Take();
-}
-
-Result<BatchRequest> BatchRequest::Decode(const std::string& bytes) {
-  Decoder dec(bytes);
-  PHX_ASSIGN_OR_RETURN(uint32_t magic, dec.GetU32());
-  if (magic != kMagic) return Status::IoError("bad batch magic");
-  PHX_ASSIGN_OR_RETURN(uint32_t count, dec.GetU32());
-  if (count == 0) return Status::IoError("empty batch");
-  if (count > kMaxBatch) return Status::IoError("batch too large");
-  BatchRequest batch;
-  batch.requests.reserve(count);
-  std::set<uint64_t> seen_ids;
-  for (uint32_t i = 0; i < count; ++i) {
-    auto r = Request::DecodeFrom(&dec);
-    if (!r.ok()) {
-      return Status::IoError("truncated batch entry " + std::to_string(i) +
-                             ": " + r.status().message());
-    }
-    // Non-zero correlation ids must be unique within the batch: a duplicate
-    // means the peer (or a retry bug) would be unable to match replies.
-    if (r->request_id != 0 && !seen_ids.insert(r->request_id).second) {
-      return Status::IoError("duplicate request_id in batch: " +
-                             std::to_string(r->request_id));
-    }
-    batch.requests.push_back(r.take());
+  Response r;
+  PHX_ASSIGN_OR_RETURN(uint8_t kind_raw, dec.GetU8());
+  if (kind_raw > static_cast<uint8_t>(Kind::kPong)) {
+    return Status::IoError("bad response kind");
   }
-  if (!dec.AtEnd()) return Status::IoError("trailing bytes after batch");
-  return batch;
-}
-
-std::string BatchResponse::Encode() const {
-  Encoder enc;
-  enc.PutU32(kMagic);
-  enc.PutU32(static_cast<uint32_t>(responses.size()));
-  for (const Response& r : responses) r.EncodeTo(&enc);
-  return enc.Take();
-}
-
-Result<BatchResponse> BatchResponse::Decode(const std::string& bytes) {
-  Decoder dec(bytes);
-  PHX_ASSIGN_OR_RETURN(uint32_t magic, dec.GetU32());
-  if (magic != kMagic) return Status::IoError("bad batch-response magic");
-  PHX_ASSIGN_OR_RETURN(uint32_t count, dec.GetU32());
-  if (count > BatchRequest::kMaxBatch) {
-    return Status::IoError("batch response too large");
+  r.kind = static_cast<Kind>(kind_raw);
+  PHX_ASSIGN_OR_RETURN(r.request_id, dec.GetU64());
+  PHX_ASSIGN_OR_RETURN(uint8_t code_raw, dec.GetU8());
+  if (code_raw > static_cast<uint8_t>(StatusCode::kInternal)) {
+    return Status::IoError("bad status code");
   }
-  BatchResponse batch;
-  batch.responses.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    auto r = Response::DecodeFrom(&dec);
-    if (!r.ok()) {
-      return Status::IoError("truncated batch-response entry " +
-                             std::to_string(i));
-    }
-    batch.responses.push_back(r.take());
+  r.error_code = static_cast<StatusCode>(code_raw);
+  PHX_ASSIGN_OR_RETURN(r.error_message, dec.GetString());
+  PHX_ASSIGN_OR_RETURN(r.session_id, dec.GetU64());
+  PHX_ASSIGN_OR_RETURN(uint32_t nresults, dec.GetU32());
+  for (uint32_t i = 0; i < nresults; ++i) {
+    PHX_ASSIGN_OR_RETURN(eng::StatementResult sr, DecodeStatementResult(&dec));
+    r.results.push_back(std::move(sr));
   }
-  if (!dec.AtEnd()) return Status::IoError("trailing bytes after batch");
-  return batch;
+  PHX_ASSIGN_OR_RETURN(r.cursor_id, dec.GetU64());
+  PHX_ASSIGN_OR_RETURN(r.schema, dec.GetSchema());
+  PHX_ASSIGN_OR_RETURN(r.cursor_size, dec.GetU64());
+  PHX_ASSIGN_OR_RETURN(uint64_t nrows, dec.GetU64());
+  r.rows.reserve(nrows);
+  for (uint64_t i = 0; i < nrows; ++i) {
+    PHX_ASSIGN_OR_RETURN(Row row, dec.GetRow());
+    r.rows.push_back(std::move(row));
+  }
+  PHX_ASSIGN_OR_RETURN(r.done, dec.GetBool());
+  PHX_ASSIGN_OR_RETURN(r.server_epoch, dec.GetU64());
+  return r;
 }
 
 }  // namespace phoenix::net

@@ -47,9 +47,6 @@ struct Request {
 
   std::string Encode() const;
   static Result<Request> Decode(const std::string& bytes);
-  /// Stream variants used by the batch framing.
-  void EncodeTo(Encoder* enc) const;
-  static Result<Request> DecodeFrom(Decoder* dec);
 };
 
 /// Server→client message.
@@ -85,38 +82,6 @@ struct Response {
 
   std::string Encode() const;
   static Result<Response> Decode(const std::string& bytes);
-  /// Stream variants used by the batch framing.
-  void EncodeTo(Encoder* enc) const;
-  static Result<Response> DecodeFrom(Decoder* dec);
-};
-
-/// Wire framing for a pipelined request batch (Channel::RoundTripBatch).
-/// One magic-tagged message carries N requests back-to-back; the server
-/// dispatches them concurrently (per-session order preserved) and replies
-/// with one BatchResponse carrying the N responses in request order.
-///
-/// Decode is strict — it is the server's first line of defense against a
-/// corrupt or adversarial peer: bad magic, zero or oversized counts,
-/// truncated entries, trailing bytes, and duplicate non-zero request_ids
-/// are all rejected with an error (never a crash, never a silent accept).
-struct BatchRequest {
-  static constexpr uint32_t kMagic = 0x50485842;  ///< "PHXB"
-  static constexpr uint32_t kMaxBatch = 4096;     ///< sanity bound on count
-
-  std::vector<Request> requests;
-
-  std::string Encode() const;
-  static Result<BatchRequest> Decode(const std::string& bytes);
-};
-
-/// The reply to a BatchRequest: responses in the same order as the requests.
-struct BatchResponse {
-  static constexpr uint32_t kMagic = 0x50485852;  ///< "PHXR"
-
-  std::vector<Response> responses;
-
-  std::string Encode() const;
-  static Result<BatchResponse> Decode(const std::string& bytes);
 };
 
 void EncodeStatementResult(const eng::StatementResult& r, Encoder* enc);

@@ -56,14 +56,12 @@ Status SocketChannel::SendFrame(FrameType type, uint64_t corr_id,
 
 void SocketChannel::FailAll(const std::string& why) {
   std::map<uint64_t, std::shared_ptr<PendingSingle>> singles;
-  std::map<uint64_t, std::shared_ptr<PendingBatch>> batches;
   {
     std::lock_guard<std::mutex> lk(mu_);
     if (dead_) return;
     dead_ = true;
     dead_reason_ = why;
     singles.swap(pending_);
-    batches.swap(pending_batches_);
   }
   // Each entry was popped exactly once (under mu_), so each future resolves
   // exactly once — a lose-reply token claimed for one of these requests is
@@ -71,9 +69,6 @@ void SocketChannel::FailAll(const std::string& why) {
   // transport: kCommError, not kTimeout, because no reply can ever arrive
   // and retrying the probe against a dead connection is pointless.
   for (auto& [id, p] : singles) {
-    p->promise.set_value(Status::CommError(why));
-  }
-  for (auto& [id, p] : batches) {
     p->promise.set_value(Status::CommError(why));
   }
   obs::Tracer::Default()->Emit("net.socket.dead", {{"reason", why}});
@@ -110,81 +105,38 @@ void SocketChannel::ReaderLoop() {
 }
 
 void SocketChannel::OnFrame(const Frame& frame) {
-  auto* reg = obs::MetricsRegistry::Default();
-  if (frame.type == FrameType::kResponse) {
-    std::shared_ptr<PendingSingle> pending;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      auto it = pending_.find(frame.corr_id);
-      if (it == pending_.end()) return;  // timed out; waiter owns the slot
-      pending = it->second;
-      pending_.erase(it);
-    }
-    Result<Response> decoded = Response::Decode(frame.payload);
-    if (pending->discard) {
-      if (decoded.ok() && IsUnexecutedRejection(decoded.value())) {
-        // The server was down and rejected the request unexecuted — that
-        // truth outranks the injected "reply lost" (which presumes
-        // execution). The token stays consumed; the wire really did carry
-        // only this rejection.
-        obs::Tracer::Default()->Emit("net.fault.lost_reply_preempted_by_crash",
-                                     {});
-        pending->promise.set_value(
-            Status::CommError(decoded.value().error_message));
-        return;
-      }
-      // Injected lost reply: the server executed and answered, but "the
-      // network" eats the frame. The waiter sees the classic kTimeout.
-      reg->GetCounter("net.faults.lost_replies")->Increment();
-      pending->promise.set_value(Status::Timeout("no response from server"));
+  // A kRequest frame from a server is a protocol violation; ignore it.
+  if (frame.type != FrameType::kResponse) return;
+  std::shared_ptr<PendingSingle> pending;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    auto it = pending_.find(frame.corr_id);
+    if (it == pending_.end()) return;  // timed out; waiter owns the slot
+    pending = it->second;
+    pending_.erase(it);
+  }
+  Result<Response> decoded = Response::Decode(frame.payload);
+  if (pending->discard) {
+    if (decoded.ok() && IsUnexecutedRejection(decoded.value())) {
+      // The server was down and rejected the request unexecuted — that
+      // truth outranks the injected "reply lost" (which presumes
+      // execution). The token stays consumed; the wire really did carry
+      // only this rejection.
+      obs::Tracer::Default()->Emit("net.fault.lost_reply_preempted_by_crash",
+                                   {});
+      pending->promise.set_value(
+          Status::CommError(decoded.value().error_message));
       return;
     }
-    pending->promise.set_value(std::move(decoded));
+    // Injected lost reply: the server executed and answered, but "the
+    // network" eats the frame. The waiter sees the classic kTimeout.
+    obs::MetricsRegistry::Default()
+        ->GetCounter("net.faults.lost_replies")
+        ->Increment();
+    pending->promise.set_value(Status::Timeout("no response from server"));
     return;
   }
-  if (frame.type == FrameType::kBatchResponse) {
-    std::shared_ptr<PendingBatch> pending;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      auto it = pending_batches_.find(frame.corr_id);
-      if (it == pending_batches_.end()) return;
-      pending = it->second;
-      pending_batches_.erase(it);
-    }
-    auto decoded = BatchResponse::Decode(frame.payload);
-    if (pending->discard) {
-      // Whole-batch rejection (every response an unexecuted intake reject)
-      // preempts the lose-reply token, same as the single-request path. A
-      // straddled batch — some executed before the crash — stays kTimeout:
-      // those requests' fates are genuinely unknown to the client.
-      bool none_executed = decoded.ok() && !decoded.value().responses.empty();
-      if (none_executed) {
-        for (const Response& r : decoded.value().responses) {
-          if (!IsUnexecutedRejection(r)) {
-            none_executed = false;
-            break;
-          }
-        }
-      }
-      if (none_executed) {
-        obs::Tracer::Default()->Emit("net.fault.lost_reply_preempted_by_crash",
-                                     {});
-        pending->promise.set_value(Status::CommError(
-            decoded.value().responses.front().error_message));
-        return;
-      }
-      reg->GetCounter("net.faults.lost_replies")->Increment();
-      pending->promise.set_value(Status::Timeout("no response from server"));
-      return;
-    }
-    if (!decoded.ok()) {
-      pending->promise.set_value(decoded.status());
-      return;
-    }
-    pending->promise.set_value(std::move(decoded.value().responses));
-    return;
-  }
-  // kRequest / kBatchRequest from a server: protocol violation; ignore.
+  pending->promise.set_value(std::move(decoded));
 }
 
 std::future<Result<Response>> SocketChannel::RoundTripAsync(
@@ -262,64 +214,6 @@ std::future<Result<Response>> SocketChannel::RoundTripAsync(
       });
 }
 
-Result<std::vector<Response>> SocketChannel::RoundTripBatch(
-    std::vector<Request> requests) {
-  if (requests.empty()) return std::vector<Response>{};
-  auto* reg = obs::MetricsRegistry::Default();
-  round_trips_.fetch_add(1, std::memory_order_relaxed);
-  reg->GetCounter("net.round_trips")->Increment();
-  reg->GetCounter("net.batches")->Increment();
-
-  for (Request& r : requests) {
-    if (r.request_id == 0) r.request_id = next_request_id_.fetch_add(1) + 1;
-  }
-  // The batch needs its own correlation id (a BatchResponse has no
-  // request_id); drawing it from the same counter keeps it disjoint from
-  // every single-request id in flight on this channel.
-  uint64_t corr_id = next_request_id_.fetch_add(1) + 1;
-
-  if (disconnected_.load()) {
-    return Status::CommError("connection closed by client");
-  }
-  if (ClaimFault(&drop_requests_)) {
-    faults_injected_.fetch_add(1, std::memory_order_relaxed);
-    reg->GetCounter("net.faults.dropped_requests")->Increment();
-    return Status::CommError("connection reset (request lost)");
-  }
-
-  auto pending = std::make_shared<PendingBatch>();
-  pending->discard = ClaimFault(&lose_replies_);
-  if (pending->discard) {
-    faults_injected_.fetch_add(1, std::memory_order_relaxed);
-  }
-  auto response_future = pending->promise.get_future();
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    if (dead_) return Status::CommError(dead_reason_);
-    pending_batches_[corr_id] = pending;
-  }
-  BatchRequest batch;
-  batch.requests = std::move(requests);
-  Status sent = SendFrame(FrameType::kBatchRequest, corr_id, batch.Encode());
-  if (!sent.ok()) FailAll(sent.message());
-
-  if (config_.rpc_timeout_ms > 0 &&
-      response_future.wait_for(
-          std::chrono::milliseconds(config_.rpc_timeout_ms)) !=
-          std::future_status::ready) {
-    bool popped = false;
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      popped = pending_batches_.erase(corr_id) > 0;
-    }
-    if (popped) {
-      reg->GetCounter("net.rpc_timeouts")->Increment();
-      return Status::Timeout("no response from server (rpc timeout)");
-    }
-  }
-  return response_future.get();
-}
-
 Result<std::unique_ptr<Channel>> ConnectSocketChannel(
     const std::string& endpoint, const NetworkConfig& config) {
   PHX_ASSIGN_OR_RETURN(Socket sock, Dial(endpoint, config.connect_timeout_ms));
@@ -390,37 +284,24 @@ void SocketServer::ConnReader(Conn* conn) {
         close_conn();
         return;
       }
-      if (frame.type == FrameType::kRequest) {
-        auto decoded = Request::Decode(frame.payload);
-        OutboxItem item;
-        item.corr_id = frame.corr_id;
-        if (!decoded.ok()) {
-          item.kind = OutboxItem::Kind::kImmediate;
-          item.immediate = Response::MakeError(decoded.status());
-          item.immediate.request_id = frame.corr_id;
-        } else {
-          // HandleAsync here, on the reader, in frame-arrival order: the
-          // per-session ticket gate then serializes same-session requests
-          // in exactly the order the client sent them.
-          item.kind = OutboxItem::Kind::kSingle;
-          item.future = server_->HandleAsync(decoded.take());
-        }
-        enqueue(std::move(item));
-      } else if (frame.type == FrameType::kBatchRequest) {
-        auto decoded = BatchRequest::Decode(frame.payload);
-        OutboxItem item;
-        item.corr_id = frame.corr_id;
-        if (!decoded.ok()) {
-          item.kind = OutboxItem::Kind::kImmediate;
-          item.immediate = Response::MakeError(decoded.status());
-          item.immediate.request_id = frame.corr_id;
-        } else {
-          item.kind = OutboxItem::Kind::kBatch;
-          item.batch = decoded.take();
-        }
-        enqueue(std::move(item));
-      }
       // Response frames from a client: protocol violation; ignore.
+      if (frame.type != FrameType::kRequest) continue;
+      auto decoded = Request::Decode(frame.payload);
+      OutboxItem item;
+      item.corr_id = frame.corr_id;
+      if (decoded.ok()) {
+        // HandleAsync here, on the reader, in frame-arrival order: the
+        // per-session ticket gate then serializes same-session requests
+        // in exactly the order the client sent them.
+        item.future = server_->HandleAsync(decoded.take());
+      } else {
+        std::promise<Response> error;
+        Response reply = Response::MakeError(decoded.status());
+        reply.request_id = frame.corr_id;
+        error.set_value(std::move(reply));
+        item.future = error.get_future();
+      }
+      enqueue(std::move(item));
     }
   }
 }
@@ -435,27 +316,8 @@ void SocketServer::ConnWriter(Conn* conn) {
       item = std::move(conn->outbox.front());
       conn->outbox.pop_front();
     }
-    std::string payload;
-    FrameType type = FrameType::kResponse;
-    switch (item.kind) {
-      case OutboxItem::Kind::kSingle:
-        payload = item.future.get().Encode();
-        break;
-      case OutboxItem::Kind::kImmediate:
-        payload = item.immediate.Encode();
-        break;
-      case OutboxItem::Kind::kBatch: {
-        // Batches execute on the writer: HandleBatch fans the requests out
-        // to the pool itself, and running it here keeps this connection's
-        // replies FIFO without a third thread.
-        BatchResponse response = server_->HandleBatch(item.batch);
-        payload = response.Encode();
-        type = FrameType::kBatchResponse;
-        break;
-      }
-    }
-    Status sent =
-        conn->sock.SendAll(EncodeFrame(type, item.corr_id, payload));
+    Status sent = conn->sock.SendAll(EncodeFrame(
+        FrameType::kResponse, item.corr_id, item.future.get().Encode()));
     if (!sent.ok()) {
       // Peer is gone; drain remaining items without sending (their
       // HandleAsync futures still complete server-side).

@@ -11,7 +11,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "net/channel.h"
 #include "net/framing.h"
@@ -45,18 +44,12 @@ class SocketChannel final : public Channel {
   ~SocketChannel() override;
 
   std::future<Result<Response>> RoundTripAsync(const Request& request) override;
-  Result<std::vector<Response>> RoundTripBatch(
-      std::vector<Request> requests) override;
   void Disconnect() override;
 
  private:
   struct PendingSingle {
     std::promise<Result<Response>> promise;
     bool discard = false;  ///< lose-reply token claimed at send time
-  };
-  struct PendingBatch {
-    std::promise<Result<std::vector<Response>>> promise;
-    bool discard = false;
   };
 
   void ReaderLoop();
@@ -70,9 +63,8 @@ class SocketChannel final : public Channel {
   Socket sock_;
   NetworkConfig config_;
 
-  std::mutex mu_;  ///< pending maps + dead flag
+  std::mutex mu_;  ///< pending map + dead flag
   std::map<uint64_t, std::shared_ptr<PendingSingle>> pending_;
-  std::map<uint64_t, std::shared_ptr<PendingBatch>> pending_batches_;
   bool dead_ = false;
   std::string dead_reason_;
 
@@ -107,12 +99,9 @@ class SocketServer {
 
  private:
   struct OutboxItem {
-    enum class Kind { kSingle, kBatch, kImmediate };
-    Kind kind = Kind::kSingle;
     uint64_t corr_id = 0;
-    std::future<Response> future;  ///< kSingle
-    BatchRequest batch;            ///< kBatch (executed by the writer)
-    Response immediate;            ///< kImmediate (e.g. decode-error reply)
+    /// The pending HandleAsync reply, or a ready decode-error reply.
+    std::future<Response> future;
   };
   struct Conn {
     Socket sock;

@@ -15,15 +15,14 @@
 // Environment (flags win over env; both optional unless noted):
 //   PHX_DATA_DIR        durable state directory (REQUIRED; created if absent)
 //   PHX_LISTEN          endpoint (default unix:<data_dir>/phoenixd.sock)
-//   PHX_CKPT_EVERY      auto-checkpoint cadence in commits (default 0)
-//   PHX_WORKERS         dispatcher worker threads (default 4)
 //   PHX_NOTIFY_FD       fd to write "READY <endpoint>\n" to once serving
 //   PHX_RENDEZVOUS_FD   fd to signal armed rendezvous points on
 //   PHX_RENDEZVOUS      rendezvous spec armed from birth (see
 //                       net/process_server.h kAdminRendezvous)
 //   PHX_RENDEZVOUS_TIMEOUT_MS  failsafe: how long a fired rendezvous blocks
 //                       waiting for the parent's SIGKILL before _exit(43)
-//   plus the engine knobs of phoenix::Options (PHX_MVCC,
+//   PHX_SERVER_ID       failover-group member id, 0..255 (default 0)
+//   plus the knobs of phoenix::Options (PHX_CKPT_EVERY, PHX_WORKERS,
 //   PHX_RECOVERY_THREADS; see common/options.h)
 //
 // The boot counter: every boot reads <data_dir>/phxd.boot, increments it
@@ -298,9 +297,10 @@ int Main(int argc, char** argv) {
   };
   disk.set_hooks(std::move(hooks));
 
+  // opts.db already carries PHX_CKPT_EVERY and PHX_RECOVERY_THREADS.
   net::ServerOptions opts;
-  opts.db.checkpoint_every_n_commits = EnvU64("PHX_CKPT_EVERY", 0);
-  opts.worker_threads = static_cast<size_t>(EnvU64("PHX_WORKERS", 4));
+  opts.worker_threads =
+      static_cast<size_t>(phoenix::Options::FromEnv().worker_threads);
   // Session-id partition, server-aware: high byte = group member id, next
   // 24 bits = that member's boot count. Two servers over one data dir can
   // never collide, and within one server every boot stays disjoint (the

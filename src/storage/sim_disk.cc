@@ -157,10 +157,9 @@ Status SimDisk::Sync(const std::string& file) {
     std::lock_guard<std::mutex> lk(mu_);
     auto it = files_.find(file);
     if (it == files_.end()) return Status::NotFound("no such file: " + file);
-    if (fail_syncs_ > 0) {
+    if (ClaimSyncFailureLocked(file)) {
       // The flush was rejected; the tail stays volatile (a crash still
       // loses it). Callers must not treat the data as durable.
-      --fail_syncs_;
       return Status::IoError("injected sync failure: " + file);
     }
     latency_us = sync_latency_us_;
@@ -217,6 +216,11 @@ Status SimDisk::WriteAtomic(const std::string& file, const std::string& data) {
   DiskHooks hooks;
   {
     std::lock_guard<std::mutex> lk(mu_);
+    if (ClaimSyncFailureLocked(file)) {
+      // The temp file's flush was rejected, so the rename never happens:
+      // the previous content stays in place.
+      return Status::IoError("injected sync failure: " + file);
+    }
     hooks = hooks_;
   }
   if (!backing_dir_.empty() || hooks.mid_atomic) {
@@ -327,9 +331,17 @@ uint64_t SimDisk::read_count() const {
   return read_count_;
 }
 
-void SimDisk::InjectSyncFailures(int n) {
+void SimDisk::InjectSyncFailures(int n, const std::string& file) {
   std::lock_guard<std::mutex> lk(mu_);
   fail_syncs_ = n;
+  fail_syncs_file_ = file;
+}
+
+bool SimDisk::ClaimSyncFailureLocked(const std::string& file) {
+  if (fail_syncs_ == 0) return false;
+  if (!fail_syncs_file_.empty() && fail_syncs_file_ != file) return false;
+  --fail_syncs_;
+  return true;
 }
 
 void SimDisk::set_sync_latency_us(uint64_t us) {

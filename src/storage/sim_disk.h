@@ -130,11 +130,13 @@ class SimDisk {
   /// one read of the WAL, not one per pass.
   uint64_t read_count() const;
 
-  /// Makes the next `n` Sync() calls fail with IoError, leaving the tail
-  /// volatile — models a device that rejects the flush (battery-backed
-  /// cache gone read-only, thin-provisioned volume out of space). The data
-  /// is NOT durable after a failed sync; a crash still discards it.
-  void InjectSyncFailures(int n);
+  /// Makes the next `n` durability points — Sync() calls, and the fsync
+  /// inside WriteAtomic() — fail with IoError; with `file` non-empty, only
+  /// that file's. Models a device that rejects the flush (battery-backed
+  /// cache gone read-only, thin-provisioned volume out of space). A failed
+  /// Sync() leaves the tail volatile (a crash still discards it); a failed
+  /// WriteAtomic() leaves the previous content in place.
+  void InjectSyncFailures(int n, const std::string& file = "");
 
   /// Service time charged to every successful Sync(), slept *outside* the
   /// disk mutex so concurrent appends proceed during the flush — the fsync
@@ -170,7 +172,12 @@ class SimDisk {
   uint64_t bytes_written_ = 0;
   uint64_t sync_count_ = 0;
   mutable uint64_t read_count_ = 0;  ///< Read/ReadDurable calls (under mu_)
+  /// Consumes one injected failure aimed at `file`, if any. Caller holds
+  /// mu_.
+  bool ClaimSyncFailureLocked(const std::string& file);
+
   int fail_syncs_ = 0;
+  std::string fail_syncs_file_;  ///< empty = any file
   uint64_t sync_latency_us_ = 0;
 };
 

@@ -70,7 +70,7 @@ struct SecondaryIndex {
   std::vector<int> columns;  ///< key columns, in index order
   std::map<Row, std::set<RowId>, RowLess> entries;
 
-  /// MVCC side state (empty when versioning is off): keys of superseded
+  /// MVCC side state (empty on unversioned temp tables): keys of superseded
   /// versions, so snapshot probes can find rows that were deleted or
   /// re-keyed after the snapshot was pinned. Conservatively over-inclusive
   /// — the executor dedups by RowId and re-resolves every candidate
@@ -166,7 +166,7 @@ class Table {
   bool MvccNoteUpdate(RowId rid, Row old_row, uint64_t txn);
   /// After rollback re-applied the inverse primitive op. Each returns true
   /// when a retained version was released. Self-gating: no-ops when the
-  /// matching note is absent (versioning off, or state already unwound).
+  /// matching note is absent (a temp table, or state already unwound).
   bool MvccUndoInsert(RowId rid, uint64_t txn);
   bool MvccUndoDelete(RowId rid, uint64_t txn);
   bool MvccUndoUpdate(RowId rid, uint64_t txn);
@@ -225,7 +225,7 @@ class Table {
   std::map<Row, RowId, RowLess> pk_index_;
   std::vector<SecondaryIndex> indexes_;
 
-  // MVCC side state (all empty when versioning is off). `live_begin_`
+  // MVCC side state (all empty on unversioned temp tables). `live_begin_`
   // stamps the current version of a row; absence means {0, 0} = visible to
   // all. `old_` holds superseded version chains per RowId, oldest first.
   // `dead_pk_` mirrors dead_entries for the PK index. None of this is

@@ -456,10 +456,10 @@ TEST(ChaosMatrix, MvccVisibilitySchedules) {
   // transactions, aborts sentinel transactions, and (on most seeds) crashes
   // and recovers mid-schedule. Seeds cross the read/write mix: reader count
   // 1..5, writer transaction count 20..44, crash on ~4 of 5 seeds. Each
-  // seed runs the engine in BOTH modes — with MVCC pinned on the oracle
-  // asserts no torn read is ever observed; with it pinned off torn reads
-  // are merely counted — and the two runs' final table images must match
-  // (the read path must never change what the writes produce).
+  // seed runs twice — with snapshot readers the oracle asserts no torn read
+  // is ever observed; with READ UNCOMMITTED readers torn reads are merely
+  // counted — and the two runs' final table images must match (the read
+  // path must never change what the writes produce).
   uint64_t reads_on = 0;
   uint64_t torn_off = 0;
   uint64_t recoveries = 0;
@@ -470,29 +470,29 @@ TEST(ChaosMatrix, MvccVisibilitySchedules) {
     opts.n_txns = 20 + static_cast<int>(seed % 7) * 4;
     opts.crash_midway = (seed % 5) != 0;
 
-    opts.mvcc = true;
+    opts.read_uncommitted = false;
     MvccVisibilityReport on = RunMvccVisibilitySchedule(opts);
     EXPECT_TRUE(on.ok) << on.DebugString();
     EXPECT_EQ(on.torn_reads, 0u) << on.DebugString();
     reads_on += on.reads;
     recoveries += on.recoveries;
 
-    opts.mvcc = false;
+    opts.read_uncommitted = true;
     MvccVisibilityReport off = RunMvccVisibilitySchedule(opts);
     EXPECT_TRUE(off.ok) << off.DebugString();
     torn_off += off.torn_reads;
 
     EXPECT_EQ(on.final_image, off.final_image)
-        << "final states diverge between MVCC modes, seed " << seed;
+        << "final states diverge between reader isolations, seed " << seed;
   }
   EXPECT_GT(reads_on, 0u) << "no reader ever completed a snapshot read";
   EXPECT_GT(recoveries, 0u) << "no schedule ever crashed and recovered";
   // Not asserted per-seed (scheduling-dependent), but across 25 schedules
-  // the classification mode should have witnessed at least one tear — if it
-  // never does, the oracle's readers are not actually interleaving and the
-  // MVCC assertion above is vacuous.
+  // the dirty readers should have witnessed at least one tear — if they
+  // never do, the oracle's readers are not actually interleaving and the
+  // snapshot assertion above is vacuous.
   EXPECT_GT(torn_off, 0u)
-      << "classification mode never observed a torn read; oracle is vacuous";
+      << "dirty readers never observed a torn read; oracle is vacuous";
 }
 
 TEST(ChaosMatrix, SingleSeedFromEnv) {

@@ -15,6 +15,7 @@
 #include "common/schema.h"
 #include "common/status.h"
 #include "common/value.h"
+#include "engine/database.h"
 
 #include "gtest/gtest.h"
 
@@ -389,25 +390,31 @@ class ScopedEnv {
 
 TEST(Options, FromEnvParsesKnobs) {
   ScopedEnv env;
-  env.Set("PHX_MVCC", "0");
+  env.Set("PHX_CKPT_EVERY", "");         // empty: default
+  env.Set("PHX_WORKERS", "");
   env.Set("PHX_RECOVERY_THREADS", "0");  // clamped: replay needs a thread
   env.Set("PHX_TRANSPORT", "carrier-pigeon");  // unknown: fail safe
   env.Set("PHX_ENDPOINTS", "a,,b,");           // empty entries dropped
   env.Set("PHX_RPC_TIMEOUT_MS", "1234");
   Options o = Options::FromEnv();
-  EXPECT_FALSE(o.mvcc);
+  EXPECT_EQ(o.checkpoint_every_n_commits, 0u);
+  EXPECT_EQ(o.worker_threads, 4u);
   EXPECT_EQ(o.recovery_threads, 1u);
   EXPECT_EQ(o.transport, Transport::kInproc);
   EXPECT_EQ(o.endpoints, (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(o.rpc_timeout_ms, 1234u);
+  EXPECT_EQ(eng::DatabaseOptions(o).checkpoint_every_n_commits, 0u);
 
-  env.Set("PHX_MVCC", "1");
+  env.Set("PHX_CKPT_EVERY", "16");
+  env.Set("PHX_WORKERS", "2");
   env.Set("PHX_RECOVERY_THREADS", "4");
   env.Set("PHX_TRANSPORT", "tcp");
   o = Options::FromEnv();
-  EXPECT_TRUE(o.mvcc);
+  EXPECT_EQ(o.checkpoint_every_n_commits, 16u);
+  EXPECT_EQ(o.worker_threads, 2u);
   EXPECT_EQ(o.recovery_threads, 4u);
   EXPECT_EQ(o.transport, Transport::kTcp);
+  EXPECT_EQ(eng::DatabaseOptions(o).checkpoint_every_n_commits, 16u);
 }
 
 }  // namespace

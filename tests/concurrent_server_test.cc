@@ -202,42 +202,6 @@ TEST(ConcurrentServer, SameSessionStatementOrderPreserved) {
   EXPECT_EQ(check->results[0].rows[0][0].AsInt64(), expected);
 }
 
-TEST(ConcurrentServer, BatchPreservesSessionOrderAndResponseOrder) {
-  TestCluster cluster;
-  auto chan = cluster.network.Connect("testdb").take();
-  auto conn = chan->RoundTrip(Connect("batch"));
-  ASSERT_TRUE(conn.ok());
-  uint64_t sid = conn->session_id;
-  PHX_ASSERT_OK(Try(chan.get(),
-                    Exec(sid, "CREATE TABLE B (K INTEGER PRIMARY KEY, "
-                              "V INTEGER); INSERT INTO B VALUES (1, 3)")));
-
-  std::vector<Request> batch;
-  int64_t expected = 3;
-  for (int i = 0; i < 21; ++i) {
-    if (i % 3 == 0) {
-      batch.push_back(Exec(sid, "UPDATE B SET V = V * 2 WHERE K = 1"));
-      expected *= 2;
-    } else {
-      batch.push_back(Exec(sid, "UPDATE B SET V = V + 1 WHERE K = 1"));
-      expected += 1;
-    }
-  }
-  batch.push_back(Exec(sid, "SELECT V FROM B WHERE K = 1"));
-
-  auto res = chan->RoundTripBatch(std::move(batch));
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  ASSERT_EQ(res->size(), 22u);
-  for (size_t i = 0; i < res->size(); ++i) {
-    PHX_ASSERT_OK((*res)[i].ToStatus());
-  }
-  // Responses come back in request order: the final SELECT is last and sees
-  // every earlier update applied in order.
-  const Response& last = res->back();
-  ASSERT_EQ(last.results[0].rows.size(), 1u);
-  EXPECT_EQ(last.results[0].rows[0][0].AsInt64(), expected);
-}
-
 TEST(ConcurrentServer, CrashRestartMidFlightLosesNoAcknowledgedWrite) {
   ServerOptions opts;
   opts.worker_threads = 4;

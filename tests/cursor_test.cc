@@ -199,49 +199,37 @@ TEST_F(CursorTest, CursorWithProjectionExpressions) {
 TEST(CursorMvccTest, KeysetRecycledKeyPhantom) {
   // Regression: keyset membership is frozen as *these rows*, yet a member
   // deleted after open and replaced by a fresh insert under the same key
-  // used to resurface the newcomer on fetch and re-seek — a phantom. With
-  // MVCC on, the (key, rid) pairs recorded at open reject the impostor row.
-  // With MVCC off the historical key-identity behavior is retained — a
-  // documented limitation of classification mode, pinned here so the delta
-  // stays visible.
-  for (bool mvcc : {true, false}) {
-    storage::SimDisk disk;
-    DatabaseOptions opts;
-    opts.mvcc = mvcc;
-    Database db(&disk, opts);
-    ASSERT_TRUE(db.Open().ok());
-    uint64_t sid = *db.CreateSession("t");
-    auto exec = [&](const std::string& sql) {
-      auto r = db.ExecuteScript(sid, sql);
-      ASSERT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
-    };
-    exec("CREATE TABLE T (K INTEGER PRIMARY KEY, V VARCHAR)");
-    for (int i = 1; i <= 5; ++i) {
-      exec("INSERT INTO T VALUES (" + std::to_string(i) + ", 'v" +
-           std::to_string(i) + "')");
-    }
-    auto c = db.OpenCursor(sid, "SELECT K, V FROM T", CursorType::kKeyset);
-    ASSERT_TRUE(c.ok()) << c.status().ToString();
-    exec("DELETE FROM T WHERE K = 3");
-    exec("INSERT INTO T VALUES (3, 'impostor')");
-
-    bool done = false;
-    auto rows = db.FetchCursor(sid, (*c)->id(), 100, &done);
-    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-    if (mvcc) {
-      // The row named at open is gone; its slot is a hole, not the impostor.
-      ASSERT_EQ(rows->size(), 4u);
-      for (const Row& r : *rows) EXPECT_NE(r[1].AsString(), "impostor");
-      // Re-seek to the start and re-fetch: still no phantom.
-      ASSERT_TRUE(db.SeekCursor(sid, (*c)->id(), 0).ok());
-      auto again = db.FetchCursor(sid, (*c)->id(), 100, &done);
-      ASSERT_TRUE(again.ok());
-      EXPECT_EQ(again->size(), 4u);
-    } else {
-      ASSERT_EQ(rows->size(), 5u);
-      EXPECT_EQ((*rows)[2][1].AsString(), "impostor");
-    }
+  // used to resurface the newcomer on fetch and re-seek — a phantom. The
+  // (key, rid) pairs recorded at open reject the impostor row.
+  storage::SimDisk disk;
+  Database db(&disk);
+  ASSERT_TRUE(db.Open().ok());
+  uint64_t sid = *db.CreateSession("t");
+  auto exec = [&](const std::string& sql) {
+    auto r = db.ExecuteScript(sid, sql);
+    ASSERT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+  };
+  exec("CREATE TABLE T (K INTEGER PRIMARY KEY, V VARCHAR)");
+  for (int i = 1; i <= 5; ++i) {
+    exec("INSERT INTO T VALUES (" + std::to_string(i) + ", 'v" +
+         std::to_string(i) + "')");
   }
+  auto c = db.OpenCursor(sid, "SELECT K, V FROM T", CursorType::kKeyset);
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  exec("DELETE FROM T WHERE K = 3");
+  exec("INSERT INTO T VALUES (3, 'impostor')");
+
+  bool done = false;
+  auto rows = db.FetchCursor(sid, (*c)->id(), 100, &done);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  // The row named at open is gone; its slot is a hole, not the impostor.
+  ASSERT_EQ(rows->size(), 4u);
+  for (const Row& r : *rows) EXPECT_NE(r[1].AsString(), "impostor");
+  // Re-seek to the start and re-fetch: still no phantom.
+  ASSERT_TRUE(db.SeekCursor(sid, (*c)->id(), 0).ok());
+  auto again = db.FetchCursor(sid, (*c)->id(), 100, &done);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->size(), 4u);
 }
 
 TEST_F(CursorTest, CloseCursorFreesIt) {

@@ -66,102 +66,6 @@ TEST(Fuzz, ProtocolDecodersRejectGarbageGracefully) {
   EXPECT_LT(request_ok, 300);
 }
 
-net::Request RandomRequest(Rng* rng, uint64_t request_id) {
-  net::Request req;
-  req.kind = static_cast<net::Request::Kind>(rng->NextBelow(9));
-  req.request_id = request_id;
-  req.session_id = rng->NextBelow(100);
-  req.user = rng->NextString(rng->NextBelow(8));
-  req.sql = "SELECT " + std::to_string(rng->NextBelow(1000));
-  req.cursor_id = rng->NextBelow(16);
-  req.n = rng->NextBelow(64);
-  return req;
-}
-
-TEST(Fuzz, BatchFramingRejectsGarbageBytes) {
-  Rng rng(0xBA7C4);
-  int request_ok = 0, response_ok = 0;
-  for (int iter = 0; iter < 3000; ++iter) {
-    std::string bytes = RandomBytes(&rng, 128);
-    if (net::BatchRequest::Decode(bytes).ok()) ++request_ok;
-    if (net::BatchResponse::Decode(bytes).ok()) ++response_ok;
-  }
-  // The magic word plus strict framing means random bytes are never a batch.
-  EXPECT_EQ(request_ok, 0);
-  EXPECT_EQ(response_ok, 0);
-}
-
-TEST(Fuzz, BatchFramingRejectsTruncationNeverCrashes) {
-  Rng rng(0x7A61);
-  for (int iter = 0; iter < 400; ++iter) {
-    net::BatchRequest batch;
-    size_t n = 1 + rng.NextBelow(8);
-    for (size_t i = 0; i < n; ++i) {
-      batch.requests.push_back(RandomRequest(&rng, i + 1));
-    }
-    std::string bytes = batch.Encode();
-
-    // Round trip sanity: the untouched encoding must decode losslessly.
-    auto whole = net::BatchRequest::Decode(bytes);
-    ASSERT_TRUE(whole.ok()) << whole.status().ToString();
-    ASSERT_EQ(whole->requests.size(), n);
-
-    // Every strict prefix must be rejected — a torn batch is never accepted.
-    for (int cut = 0; cut < 8; ++cut) {
-      size_t len = rng.NextBelow(bytes.size());
-      auto r = net::BatchRequest::Decode(bytes.substr(0, len));
-      EXPECT_FALSE(r.ok()) << "accepted a " << len << "-byte prefix of a "
-                           << bytes.size() << "-byte batch";
-    }
-
-    // Trailing junk after a complete batch must also be rejected.
-    auto padded = net::BatchRequest::Decode(bytes + RandomBytes(&rng, 8) + "x");
-    EXPECT_FALSE(padded.ok());
-
-    // Random single-byte corruption: reject or accept, but never crash, and
-    // an accepted mutation can never smuggle in extra requests.
-    std::string mutated = bytes;
-    mutated[rng.NextBelow(mutated.size())] =
-        static_cast<char>(rng.NextBelow(256));
-    auto m = net::BatchRequest::Decode(mutated);
-    if (m.ok()) {
-      EXPECT_LE(m->requests.size(), n);
-    }
-  }
-}
-
-TEST(Fuzz, BatchFramingRejectsDuplicateRequestIds) {
-  Rng rng(0xD0B1E);
-  net::BatchRequest batch;
-  batch.requests.push_back(RandomRequest(&rng, 7));
-  batch.requests.push_back(RandomRequest(&rng, 9));
-  batch.requests.push_back(RandomRequest(&rng, 7));  // duplicate
-  auto r = net::BatchRequest::Decode(batch.Encode());
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("duplicate request_id"),
-            std::string::npos);
-
-  // Zero means "unassigned" and may repeat freely.
-  net::BatchRequest anon;
-  anon.requests.push_back(RandomRequest(&rng, 0));
-  anon.requests.push_back(RandomRequest(&rng, 0));
-  EXPECT_TRUE(net::BatchRequest::Decode(anon.Encode()).ok());
-}
-
-TEST(Fuzz, BatchFramingRejectsBadCounts) {
-  // Empty batch.
-  EXPECT_FALSE(net::BatchRequest::Decode(net::BatchRequest{}.Encode()).ok());
-
-  // Oversized count with no payload behind it: must reject on the count
-  // check, not attempt a multi-gigabyte reserve.
-  Encoder enc;
-  enc.PutU32(net::BatchRequest::kMagic);
-  enc.PutU32(net::BatchRequest::kMaxBatch + 1);
-  auto r = net::BatchRequest::Decode(enc.Take());
-  ASSERT_FALSE(r.ok());
-  EXPECT_NE(r.status().message().find("batch too large"), std::string::npos);
-}
-
 TEST(Fuzz, FrameAssemblerReassemblesArbitraryChunkings) {
   // Property: for any sequence of valid frames and ANY chunking of the byte
   // stream (one byte at a time, everything at once, random cuts), the
@@ -174,7 +78,7 @@ TEST(Fuzz, FrameAssemblerReassemblesArbitraryChunkings) {
     std::string wire;
     for (size_t i = 0; i < n_frames; ++i) {
       net::Frame f;
-      f.type = static_cast<net::FrameType>(1 + rng.NextBelow(4));
+      f.type = static_cast<net::FrameType>(1 + rng.NextBelow(2));
       f.corr_id = rng.Next();
       f.payload = RandomBytes(&rng, 200);  // frames carry arbitrary bytes
       wire += net::EncodeFrame(f.type, f.corr_id, f.payload);

@@ -176,11 +176,9 @@ TEST_F(PhoenixBasicTest, ReExecutingAStatementClosesItsCursor) {
   ASSERT_NE(app, nullptr);
   EXPECT_LE(app->cursors.size(), 1u);
   EXPECT_LE(cs->artifact_tables.size(), 2u);
-  if (ServerDb()->mvcc_enabled()) {
-    // The first cursor's snapshot pin was released, so the oldest pin moved
-    // on with the later materializations' commits.
-    EXPECT_GT(oldest_pin->Value(), first_pin);
-  }
+  // The first cursor's snapshot pin was released, so the oldest pin moved
+  // on with the later materializations' commits.
+  EXPECT_GT(oldest_pin->Value(), first_pin);
   ASSERT_EQ(dm_->Fetch(stmt), SqlReturn::kSuccess);
 }
 

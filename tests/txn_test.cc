@@ -207,35 +207,72 @@ TEST_F(TxnTest, AutoCheckpointAfterNCommits) {
   EXPECT_TRUE(disk.Exists("phxdb.ckpt"));
 }
 
-TEST_F(TxnTest, ReadOnlyCommitsDeferCheckpointToNextMutatingCommit) {
-  // Regression: a due auto-checkpoint that lands on a shared-lock (read-only)
-  // commit cannot take the snapshot there. It used to be silently dropped —
-  // and since the commit counter kept advancing, a read-heavy workload could
-  // starve checkpoints forever. It must now be counted
-  // (storage.checkpoint.skipped) and deferred to the next mutating commit.
+TEST_F(TxnTest, CheckpointCadenceCountsOnlyLoggedCommits) {
+  // The cadence counts commits that wrote a WAL record — the unit
+  // Database::Open seeds it with (records replayed). Read-only autocommits
+  // and an empty BEGIN…COMMIT used to count too, so a read-heavy workload
+  // took the O(db) snapshot far more often than configured.
   storage::SimDisk disk;
   DatabaseOptions opts;
   opts.checkpoint_every_n_commits = 3;
   Database db(&disk, opts);
   ASSERT_TRUE(db.Open().ok());
   uint64_t sid = *db.CreateSession("x");
-  ASSERT_TRUE(db.ExecuteScript(sid, "CREATE TABLE C (A INTEGER)").ok());
+  auto exec = [&](const std::string& sql) {
+    auto r = db.ExecuteScript(sid, sql);
+    ASSERT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+  };
+  exec("CREATE TABLE C (A INTEGER)");  // logged commit 1
+  for (int i = 0; i < 3; ++i) exec("SELECT A FROM C");
+  exec("BEGIN TRANSACTION");
+  exec("COMMIT");
+  exec("INSERT INTO C VALUES (1)");  // logged commit 2
+  db.WaitForCheckpointIdle();
+  EXPECT_FALSE(disk.Exists("phxdb.ckpt"));
 
-  obs::MetricsSnapshot before = obs::MetricsRegistry::Default()->Snapshot();
-  // Autocommit SELECTs cross the threshold under the shared lock.
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(db.ExecuteScript(sid, "SELECT A FROM C").ok());
-  }
-  obs::MetricsSnapshot mid = obs::MetricsRegistry::Default()->Snapshot();
-  EXPECT_GE(mid.counter("storage.checkpoint.skipped") -
-                before.counter("storage.checkpoint.skipped"),
-            1u);
-  EXPECT_FALSE(disk.Exists("phxdb.ckpt"));  // deferred, not taken
-
-  // The first mutating commit afterwards fires the deferred checkpoint.
-  ASSERT_TRUE(db.ExecuteScript(sid, "INSERT INTO C VALUES (1)").ok());
+  exec("INSERT INTO C VALUES (2)");  // logged commit 3: due
   db.WaitForCheckpointIdle();
   EXPECT_TRUE(disk.Exists("phxdb.ckpt"));
+}
+
+TEST_F(TxnTest, FailedBackgroundImageWriteRetriesOnNextLoggedCommit) {
+  storage::SimDisk disk;
+  DatabaseOptions opts;
+  opts.checkpoint_every_n_commits = 3;
+  auto db = std::make_unique<Database>(&disk, opts);
+  ASSERT_TRUE(db->Open().ok());
+  uint64_t sid = *db->CreateSession("x");
+  auto exec = [&](const std::string& sql) {
+    auto r = db->ExecuteScript(sid, sql);
+    ASSERT_TRUE(r.ok()) << sql << " -> " << r.status().ToString();
+  };
+  obs::Counter* failures = obs::MetricsRegistry::Default()->GetCounter(
+      "storage.checkpoint.bg_write_failures");
+  uint64_t failures0 = failures->Value();
+
+  disk.InjectSyncFailures(1, "phxdb.ckpt");
+  exec("CREATE TABLE C (A INTEGER)");
+  exec("INSERT INTO C VALUES (1)");
+  exec("INSERT INTO C VALUES (2)");  // due: the image write fails
+  db->WaitForCheckpointIdle();
+  EXPECT_EQ(failures->Value(), failures0 + 1);
+  EXPECT_FALSE(disk.Exists("phxdb.ckpt"));
+
+  // One logged commit — not another three — retries, and its snapshot
+  // lands: the image holds all four commits and the WAL is truncated.
+  exec("INSERT INTO C VALUES (3)");
+  db->WaitForCheckpointIdle();
+  EXPECT_EQ(failures->Value(), failures0 + 1);
+  ASSERT_TRUE(disk.Exists("phxdb.ckpt"));
+  db.reset();
+  disk.Crash();
+  db = std::make_unique<Database>(&disk, opts);
+  ASSERT_TRUE(db->Open().ok());
+  EXPECT_EQ(db->recovery_info().records_replayed, 0u);
+  sid = *db->CreateSession("y");
+  auto rows = db->ExecuteScript(sid, "SELECT COUNT(*) AS N FROM C");
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ((*rows)[0].rows[0][0].AsInt64(), 3);
 }
 
 TEST_F(TxnTest, EmptyTxnCommitWritesNothing) {
