@@ -67,7 +67,7 @@ run_lane() {
 CHAOS_TESTS='chaos_matrix_test|recovery_regression_test|wal_test'
 SOCKET_TESTS='net_test|process_server_test|chaos_matrix_test'
 RECOVERY_TESTS='storage_recovery_test|recovery_regression_test|chaos_matrix_test|wal_test|database_recovery_test'
-MVCC_TESTS='executor_test|txn_test|cursor_test|engine_edge_test|concurrent_server_test|seek_and_multiclient_test|chaos_test|chaos_matrix_test|phoenix_basic_test|phoenix_recovery_test|left_join_test'
+MVCC_TESTS='executor_test|txn_test|checkpoint_snapshot_test|cursor_test|engine_edge_test|concurrent_server_test|seek_and_multiclient_test|chaos_test|chaos_matrix_test|phoenix_basic_test|phoenix_recovery_test|left_join_test'
 FAILOVER_TESTS='failover_test|chaos_matrix_test'
 
 want="${1:-both}"

@@ -17,6 +17,10 @@ void Encoder::PutU64(uint64_t v) {
   for (int i = 0; i < 8; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)));
 }
 
+void Encoder::PatchU64(size_t at, uint64_t v) {
+  for (int i = 0; i < 8; ++i) buf_[at + i] = static_cast<char>(v >> (8 * i));
+}
+
 void Encoder::PutDouble(double v) {
   uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));

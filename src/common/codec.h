@@ -11,15 +11,17 @@
 
 namespace phoenix {
 
-/// Append-only little-endian byte encoder. Shared by the WAL, the checkpoint
-/// writer, and the wire protocol so that every durable or transmitted byte
-/// goes through one audited code path.
+/// Append-only (save PatchU64) little-endian byte encoder. Shared by the WAL,
+/// the checkpoint writer, and the wire protocol so that every durable or
+/// transmitted byte goes through one audited code path.
 class Encoder {
  public:
   void PutU8(uint8_t v) { buf_.push_back(static_cast<char>(v)); }
   void PutU16(uint16_t v);
   void PutU32(uint32_t v);
   void PutU64(uint64_t v);
+  /// Overwrites the 8 bytes an earlier PutU64 wrote at offset `at`.
+  void PatchU64(size_t at, uint64_t v);
   void PutI32(int32_t v) { PutU32(static_cast<uint32_t>(v)); }
   void PutI64(int64_t v) { PutU64(static_cast<uint64_t>(v)); }
   void PutDouble(double v);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/codec.h"
 #include "common/rng.h"
 #include "engine/planner.h"
 #include "obs/metrics.h"
@@ -265,10 +264,10 @@ Status Database::Commit(Session* s, storage::WalCommitTicket* ticket) {
   s->txn.reset();
   uint64_t since =
       commits_since_checkpoint_.fetch_add(1, std::memory_order_relaxed) + 1;
-  // Active transactions do not suppress the checkpoint — their effects are
-  // reverted in the snapshot clone and replay is fenced on the WAL LSN. A
-  // failed background image write arms ckpt_deferred_, so the next logged
-  // commit retries even though the counter was already reset.
+  // Active transactions do not suppress the checkpoint — its snapshot does
+  // not see their effects and replay is fenced on the WAL LSN. A failed
+  // background image write arms ckpt_deferred_, so the next logged commit
+  // retries even though the counter was already reset.
   const uint64_t n = opts_.checkpoint_every_n_commits;
   if (n > 0 &&
       (since >= n || ckpt_deferred_.load(std::memory_order_relaxed))) {
@@ -359,8 +358,8 @@ void Database::MvccCommitLocked(const Txn& txn, uint64_t lsn) {
         u.kind != UndoRecord::Kind::kUpdate) {
       continue;
     }
-    storage::Table* t = store_.Get(u.table);
-    if (t == nullptr || t->temporary()) continue;
+    storage::Table* t = u.table.get();
+    if (t->temporary()) continue;
     t->MvccFinalize(u.rid, txn.id, lsn);
     touched.insert(t);
   }
@@ -386,24 +385,34 @@ void Database::MvccCommitLocked(const Txn& txn, uint64_t lsn) {
 
 Result<Database::CheckpointSnapshot> Database::TakeSnapshotLocked() {
   StopWatch watch;
-  CheckpointSnapshot snap;
-  snap.store = store_.ClonePersistent();
-  snap.next_txn_id = txn_manager_.next_id();
   // The fence: every WAL record enqueued so far (enqueues happen under
-  // data_mu_, which this thread holds exclusively, so none can race). The
-  // clone reflects exactly those records once uncommitted effects are
-  // reverted below — no-steal means an open transaction's mutations are in
-  // the store but not in the log.
-  snap.fence_lsn = durability_.wal_writer()->last_assigned_lsn();
+  // data_mu_, held here exclusively, so none can race). Each logged commit
+  // publishes its LSN before releasing the lock, so a snapshot pinned now
+  // sees exactly the fenced records.
+  const uint64_t fence = durability_.wal_writer()->last_assigned_lsn();
+  if (committed_lsn() != fence) {
+    return Status::Internal("checkpoint: commit horizon " +
+                            std::to_string(committed_lsn()) +
+                            " is not the WAL fence " + std::to_string(fence));
+  }
+  CheckpointSnapshot snap;
+  snap.pin.reset(new storage::MvccSnapshot(PinSnapshot(/*txn_id=*/0)),
+                 [this](const storage::MvccSnapshot* pin) {
+                   UnpinSnapshot(*pin);
+                   delete pin;
+                 });
+  snap.next_txn_id = txn_manager_.next_id();
+  // No-steal puts open transactions' effects in the store, not the log. The
+  // snapshot hides their rows; their DDL is taken out of the catalog here.
+  snap.tables = store_.CapturePersistent();
   {
     std::shared_lock<std::shared_mutex> lk(sessions_mu_);
     for (const auto& [id, s] : sessions_) {
-      if (s->txn != nullptr) {
-        PHX_RETURN_IF_ERROR(
-            txn_manager_.RevertInClone(*s->txn, snap.store.get()));
-      }
+      if (s->txn != nullptr) TxnManager::RevertCatalog(*s->txn, &snap.tables);
     }
   }
+  commits_since_checkpoint_.store(0, std::memory_order_relaxed);
+  ckpt_deferred_.store(false, std::memory_order_relaxed);
   obs::MetricsRegistry::Default()
       ->GetHistogram("storage.checkpoint.snapshot_us",
                      obs::Histogram::LatencyBoundsUs())
@@ -420,37 +429,32 @@ Status Database::WriteSnapshotSerialized(CheckpointSnapshot snap,
   // regress the image, and its WAL truncation would then amputate records
   // only the newer image holds: silent data loss. Dropping it loses
   // nothing (everything it holds is subsumed).
-  if (ckpt_has_written_ && snap.fence_lsn <= ckpt_written_fence_) {
+  const uint64_t fence = snap.pin->lsn;
+  if (ckpt_has_written_ && fence <= ckpt_written_fence_) {
     obs::MetricsRegistry::Default()
         ->GetCounter("storage.checkpoint.stale_dropped")
         ->Increment();
     return Status::Ok();
   }
+  // The pin keeps every version the snapshot sees alive between chunks.
   PHX_RETURN_IF_ERROR(durability_.WriteCheckpointImage(
-      *snap.store, snap.next_txn_id, snap.fence_lsn));
+      snap.tables, *snap.pin, snap.next_txn_id, &data_mu_));
   ckpt_has_written_ = true;
-  ckpt_written_fence_ = snap.fence_lsn;
+  ckpt_written_fence_ = fence;
   if (wrote != nullptr) *wrote = true;
   if (!truncate_wal) return Status::Ok();
-  return durability_.TruncateWalToFence(snap.fence_lsn);
+  return durability_.TruncateWalToFence(fence);
 }
 
 Status Database::Checkpoint() {
-  auto snap_res = [&]() -> Result<CheckpointSnapshot> {
-    std::unique_lock<std::shared_mutex> lk(data_mu_);
-    auto res = TakeSnapshotLocked();
-    if (res.ok()) {
-      commits_since_checkpoint_.store(0, std::memory_order_relaxed);
-      ckpt_deferred_.store(false, std::memory_order_relaxed);
-    }
-    return res;
-  }();
-  PHX_RETURN_IF_ERROR(snap_res.status());
-  // The write happens on the caller's thread but off the data lock: the
-  // caller observes synchronous completion while other sessions keep
+  std::unique_lock<std::shared_mutex> lk(data_mu_);
+  PHX_ASSIGN_OR_RETURN(CheckpointSnapshot snap, TakeSnapshotLocked());
+  lk.unlock();
+  // The write happens on the caller's thread but off the exclusive lock:
+  // the caller observes synchronous completion while other sessions keep
   // executing. (A concurrently pending background snapshot is older by
   // construction and will be dropped by the fence guard.)
-  return WriteSnapshotSerialized(snap_res.take(), /*truncate_wal=*/true);
+  return WriteSnapshotSerialized(std::move(snap), /*truncate_wal=*/true);
 }
 
 Status Database::CheckpointForCrashTest(CheckpointCrashPoint point,
@@ -461,6 +465,7 @@ Status Database::CheckpointForCrashTest(CheckpointCrashPoint point,
   }
   std::unique_lock<std::shared_mutex> lk(data_mu_);
   PHX_ASSIGN_OR_RETURN(CheckpointSnapshot snap, TakeSnapshotLocked());
+  lk.unlock();
   if (point == CheckpointCrashPoint::kPostSnapshot) {
     return Status::Ok();  // the volatile snapshot dies with the process
   }
@@ -476,8 +481,6 @@ void Database::WaitForCheckpointIdle() {
 
 Status Database::CheckpointLocked() {
   PHX_ASSIGN_OR_RETURN(CheckpointSnapshot snap, TakeSnapshotLocked());
-  commits_since_checkpoint_.store(0, std::memory_order_relaxed);
-  ckpt_deferred_.store(false, std::memory_order_relaxed);
   auto* reg = obs::MetricsRegistry::Default();
   std::lock_guard<std::mutex> lk(ckpt_mu_);
   if (ckpt_pending_.has_value()) {
@@ -706,7 +709,7 @@ Result<storage::RowId> Database::TxInsert(Txn* txn, storage::Table* table,
   PHX_ASSIGN_OR_RETURN(storage::RowId rid, table->Insert(std::move(row)));
   UndoRecord undo;
   undo.kind = UndoRecord::Kind::kInsert;
-  undo.table = table->name();
+  undo.table = table->shared_from_this();
   undo.rid = rid;
   txn->undo.push_back(std::move(undo));
   if (!table->temporary()) {
@@ -726,7 +729,7 @@ Status Database::TxDelete(Txn* txn, storage::Table* table,
   }
   UndoRecord undo;
   undo.kind = UndoRecord::Kind::kDelete;
-  undo.table = table->name();
+  undo.table = table->shared_from_this();
   undo.rid = rid;
   undo.row = *old;
   PHX_RETURN_IF_ERROR(table->Delete(rid));
@@ -748,7 +751,7 @@ Status Database::TxUpdate(Txn* txn, storage::Table* table, storage::RowId rid,
   }
   UndoRecord undo;
   undo.kind = UndoRecord::Kind::kUpdate;
-  undo.table = table->name();
+  undo.table = table->shared_from_this();
   undo.rid = rid;
   undo.row = *old;
   PHX_RETURN_IF_ERROR(table->Update(rid, std::move(new_row)));
@@ -775,7 +778,7 @@ Result<storage::Table*> Database::TxCreateTable(Txn* txn,
   t->set_owner_session(owner_session);
   UndoRecord undo;
   undo.kind = UndoRecord::Kind::kCreateTable;
-  undo.table = t->name();
+  undo.table = t->shared_from_this();
   txn->undo.push_back(std::move(undo));
   if (!temporary) {
     txn->redo.push_back(storage::WalOp::CreateTable(
@@ -790,20 +793,15 @@ Status Database::TxDropTable(Txn* txn, const std::string& name) {
   }
   storage::Table* t = store_.Get(name);
   if (t == nullptr) return Status::NotFound("no such table: " + name);
+  // The drop parks the table object itself, uncopied, in the undo record:
+  // rollback reinstalls it and a checkpoint meanwhile can still read it.
   UndoRecord undo;
   undo.kind = UndoRecord::Kind::kDropTable;
-  undo.table = t->name();
-  Encoder enc;
-  t->EncodeSnapshot(&enc);
-  undo.snapshot = enc.Take();
-  undo.snapshot_temporary = t->temporary();
-  undo.snapshot_owner = t->owner_session();
-  bool temporary = t->temporary();
-  std::string canonical = t->name();
+  undo.table = t->shared_from_this();
   PHX_RETURN_IF_ERROR(store_.DropTable(name));
   txn->undo.push_back(std::move(undo));
-  if (!temporary) {
-    txn->redo.push_back(storage::WalOp::DropTable(canonical));
+  if (!t->temporary()) {
+    txn->redo.push_back(storage::WalOp::DropTable(t->name()));
   }
   return Status::Ok();
 }
@@ -817,7 +815,7 @@ Status Database::TxCreateIndex(Txn* txn, storage::Table* table,
   PHX_RETURN_IF_ERROR(table->CreateIndex(index_name, columns));
   UndoRecord undo;
   undo.kind = UndoRecord::Kind::kCreateIndex;
-  undo.table = table->name();
+  undo.table = table->shared_from_this();
   undo.index_name = IdentUpper(index_name);
   txn->undo.push_back(std::move(undo));
   if (!table->temporary()) {
@@ -836,7 +834,7 @@ Status Database::TxDropIndex(Txn* txn, storage::Table* table,
   if (idx == nullptr) return Status::NotFound("no such index: " + index_name);
   UndoRecord undo;
   undo.kind = UndoRecord::Kind::kDropIndex;
-  undo.table = table->name();
+  undo.table = table->shared_from_this();
   undo.index_name = idx->name;
   undo.index_columns = idx->columns;
   undo.index_position = table->IndexPosition(idx->name);

@@ -74,11 +74,12 @@ struct DatabaseOptions {
 /// Concurrency model (DESIGN.md §Concurrency):
 ///  - data_mu_ is a reader/writer lock over all shared engine state (tables,
 ///    catalog, WAL tail, temp procs). Everything that can mutate (DML, DDL,
-///    transaction control, EXEC, session close, checkpoint) takes it
-///    EXCLUSIVE. Readers take it SHARED: a plain SELECT or a static/keyset
-///    cursor open only long enough to pin an MVCC snapshot and collect its
-///    working set, and only READ UNCOMMITTED SELECTs, EXPLAIN and dynamic
-///    cursors read the live heap for the whole statement.
+///    transaction control, EXEC, session close) and a checkpoint's capture
+///    take it EXCLUSIVE. Readers take it SHARED: a plain SELECT or a
+///    static/keyset cursor open only long enough to pin an MVCC snapshot
+///    and collect its working set, a checkpoint encode one row chunk at a
+///    time, and only READ UNCOMMITTED SELECTs, EXPLAIN and dynamic cursors
+///    read the live heap for the whole statement.
 ///  - sessions_mu_ guards only the session *map*. Session *contents* need no
 ///    lock: the server serializes requests per session, so at most one
 ///    thread touches a given Session at a time.
@@ -137,16 +138,15 @@ class Database {
 
   // ---- Administration ----------------------------------------------------
   /// Writes a checkpoint synchronously (the image is durable on return).
-  /// Active transactions no longer block it: the image holds committed
-  /// state only — each open transaction's effects are reverted in the
-  /// snapshot clone — and replay is fenced on the WAL LSN captured at
-  /// snapshot time. The image write happens off the data lock, so other
-  /// sessions keep executing during it.
+  /// Active transactions do not block it: the image holds committed state
+  /// only, read through an MVCC snapshot pinned at the WAL fence. Only the
+  /// pin and catalog capture hold the data lock exclusively; rows are read
+  /// in chunks under brief shared holds while other sessions keep going.
   Status Checkpoint();
   /// Runs the checkpoint protocol up to (not including) the step named by
   /// `point`, leaving exactly the durable state a crash in that window
   /// leaves. `image_written` (optional) reports whether a (non-stale) image
-  /// actually hit the disk.
+  /// actually hit the disk. Like Checkpoint(), it encodes off the lock.
   Status CheckpointForCrashTest(CheckpointCrashPoint point,
                                 bool* image_written = nullptr);
   /// Blocks until no background checkpoint is pending or being written.
@@ -243,22 +243,25 @@ class Database {
   Status Commit(Session* session, storage::WalCommitTicket* ticket);
   Status Rollback(Session* session);
 
-  /// The fast half of a checkpoint: a committed-state-only clone of the
-  /// persistent tables plus the WAL fence it is consistent with.
+  /// The fast half of a checkpoint: an MVCC snapshot pinned at the WAL
+  /// fence plus the committed catalog as of it. The pin's deleter unpins,
+  /// so every path that ends a capture releases it exactly once.
   struct CheckpointSnapshot {
-    std::unique_ptr<storage::TableStore> store;
+    std::shared_ptr<const storage::MvccSnapshot> pin;  ///< lsn = fence
     uint64_t next_txn_id = 0;
-    uint64_t fence_lsn = 0;
+    storage::CatalogImage tables;
   };
-  /// Caller holds data_mu_ exclusively: clones the persistent tables,
-  /// reverts every active transaction's uncommitted effects in the clone
-  /// (no-steal keeps them in memory only), and captures the WAL fence.
+  /// Caller holds data_mu_ exclusively: pins a snapshot at the commit
+  /// horizon (Internal if that is not the WAL fence), captures the
+  /// persistent tables' catalog, takes open transactions' table and index
+  /// DDL back out of it, and restarts the checkpoint cadence. O(tables +
+  /// open undo), never O(rows).
   Result<CheckpointSnapshot> TakeSnapshotLocked();
-  /// The slow half: encode + WriteAtomic (+ WAL truncate). All image writes
-  /// are serialized through ckpt_write_mu_ with a monotone fence check, so
-  /// a background write of an older snapshot can never clobber a newer
-  /// image — without the check, its WAL truncation would have amputated
-  /// records the stale image does not hold (data loss).
+  /// The slow half: chunked encode + WriteAtomic (+ WAL truncate). All
+  /// image writes are serialized through ckpt_write_mu_ with a monotone
+  /// fence check, so a background write of an older snapshot can never
+  /// clobber a newer image — without the check, its WAL truncation would
+  /// have amputated records the stale image does not hold (data loss).
   Status WriteSnapshotSerialized(CheckpointSnapshot snap, bool truncate_wal,
                                  bool* wrote = nullptr);
   /// Auto-checkpoint entry (data_mu_ exclusive): snapshot + reset counter,
@@ -303,8 +306,9 @@ class Database {
   std::atomic<bool> ckpt_deferred_{false};
 
   // Background checkpoint pipeline. Lock order: data_mu_ → ckpt_mu_, and
-  // data_mu_ → ckpt_write_mu_; ckpt_mu_ and ckpt_write_mu_ are never held
-  // together.
+  // ckpt_write_mu_ → data_mu_ (shared, per encode chunk), so nothing takes
+  // ckpt_write_mu_ under data_mu_; ckpt_mu_ and ckpt_write_mu_ are never
+  // held together.
   std::mutex ckpt_mu_;  ///< guards the pending slot + thread lifecycle
   std::condition_variable ckpt_cv_;
   std::optional<CheckpointSnapshot> ckpt_pending_;  ///< single handoff slot

@@ -1284,7 +1284,7 @@ Result<StatementResult> Executor::ExecuteCreateProc(
     PHX_RETURN_IF_ERROR(db_->temp_procs()->Register(cp.Clone(), session_->id));
     UndoRecord undo;
     undo.kind = UndoRecord::Kind::kCreateTempProc;
-    undo.table = cp.name;
+    undo.proc = cp.name;
     session_->txn->undo.push_back(std::move(undo));
     return StatementResult::Affected(0);
   }
@@ -1309,9 +1309,9 @@ Result<StatementResult> Executor::ExecuteDropProc(const sql::DropProcStmt& dp) {
   if (tmp != nullptr) {
     UndoRecord undo;
     undo.kind = UndoRecord::Kind::kDropTempProc;
-    undo.table = dp.name;
-    undo.snapshot = tmp->ToSql();
-    undo.snapshot_owner = db_->temp_procs()->OwnerOf(dp.name);
+    undo.proc = dp.name;
+    undo.proc_sql = tmp->ToSql();
+    undo.proc_owner = db_->temp_procs()->OwnerOf(dp.name);
     PHX_RETURN_IF_ERROR(db_->temp_procs()->Unregister(dp.name));
     session_->txn->undo.push_back(std::move(undo));
     return StatementResult::Affected(0);

@@ -1,25 +1,11 @@
 #include "engine/transaction.h"
 
-#include "common/codec.h"
+#include <algorithm>
+
 #include "engine/catalog.h"
 #include "sql/parser.h"
 
 namespace phoenix::eng {
-
-namespace {
-
-/// Copies the index *definitions* of a decoded table snapshot onto a freshly
-/// re-created table (CreateIndex backfills the entries from the rows already
-/// inserted). Both kDropTable undo paths need this or a rolled-back DROP
-/// TABLE would silently lose the table's indexes.
-Status RestoreIndexes(const storage::Table& snapshot, storage::Table* created) {
-  for (const storage::SecondaryIndex& idx : snapshot.indexes()) {
-    PHX_RETURN_IF_ERROR(created->CreateIndex(idx.name, idx.columns));
-  }
-  return Status::Ok();
-}
-
-}  // namespace
 
 Status TxnManager::UndoTo(Txn* txn, size_t undo_from, size_t redo_from,
                           storage::TableStore* store, ProcRegistry* procs) {
@@ -32,149 +18,91 @@ Status TxnManager::UndoTo(Txn* txn, size_t undo_from, size_t redo_from,
   return Status::Ok();
 }
 
-Status TxnManager::RevertInClone(const Txn& txn, storage::TableStore* clone) {
+void TxnManager::RevertCatalog(const Txn& txn,
+                               storage::CatalogImage* catalog) {
+  // The record's catalog entry, if it holds the record's table object.
+  auto entry = [&](const UndoRecord& rec) -> storage::TableImage* {
+    auto it = catalog->find(rec.table->name());
+    if (it == catalog->end() || it->second.table != rec.table) return nullptr;
+    return &it->second;
+  };
   for (auto it = txn.undo.rbegin(); it != txn.undo.rend(); ++it) {
     const UndoRecord& rec = *it;
     switch (rec.kind) {
-      case UndoRecord::Kind::kCreateTempProc:
-      case UndoRecord::Kind::kDropTempProc:
-        continue;  // procs are session state, never in a checkpoint
-      case UndoRecord::Kind::kInsert:
-      case UndoRecord::Kind::kDelete:
-      case UndoRecord::Kind::kUpdate: {
-        // A missing table means the op hit a temp table (excluded from the
-        // clone) — its undo is not the clone's business.
-        storage::Table* t = clone->Get(rec.table);
-        if (t == nullptr) continue;
-        if (rec.kind == UndoRecord::Kind::kInsert) {
-          PHX_RETURN_IF_ERROR(t->Delete(rec.rid));
-        } else if (rec.kind == UndoRecord::Kind::kDelete) {
-          PHX_RETURN_IF_ERROR(t->Insert(rec.row, rec.rid).status());
-        } else {
-          PHX_RETURN_IF_ERROR(t->Update(rec.rid, rec.row));
-        }
-        continue;
-      }
       case UndoRecord::Kind::kCreateTable:
-        // Absent when the created table was temporary.
-        if (clone->Get(rec.table) != nullptr) {
-          PHX_RETURN_IF_ERROR(clone->DropTable(rec.table));
+        if (entry(rec) != nullptr) catalog->erase(rec.table->name());
+        break;
+      case UndoRecord::Kind::kDropTable:
+        // The parked object has not changed since the drop, so its rid
+        // counter and index definitions are the ones the drop removed.
+        if (!rec.table->temporary()) {
+          (*catalog)[rec.table->name()] = rec.table->Image();
         }
-        continue;
-      case UndoRecord::Kind::kDropTable: {
-        if (rec.snapshot_temporary) continue;
-        Decoder dec(rec.snapshot);
-        PHX_ASSIGN_OR_RETURN(std::unique_ptr<storage::Table> table,
-                             storage::Table::DecodeSnapshot(&dec));
-        PHX_ASSIGN_OR_RETURN(
-            storage::Table * created,
-            clone->CreateTable(table->name(), table->schema(),
-                               table->pk_columns(), /*temporary=*/false));
-        for (const auto& [rid, row] : table->rows()) {
-          PHX_RETURN_IF_ERROR(created->Insert(row, rid).status());
+        break;
+      case UndoRecord::Kind::kCreateIndex:
+        if (storage::TableImage* image = entry(rec)) {
+          auto& defs = image->indexes;
+          defs.erase(std::remove_if(defs.begin(), defs.end(),
+                                    [&](const storage::IndexDef& d) {
+                                      return d.name == rec.index_name;
+                                    }),
+                     defs.end());
         }
-        PHX_RETURN_IF_ERROR(RestoreIndexes(*table, created));
-        continue;
-      }
-      case UndoRecord::Kind::kCreateIndex: {
-        storage::Table* t = clone->Get(rec.table);
-        if (t == nullptr) continue;  // temp table, not in the clone
-        PHX_RETURN_IF_ERROR(t->DropIndex(rec.index_name));
-        continue;
-      }
-      case UndoRecord::Kind::kDropIndex: {
-        storage::Table* t = clone->Get(rec.table);
-        if (t == nullptr) continue;
-        PHX_RETURN_IF_ERROR(t->CreateIndex(rec.index_name, rec.index_columns));
-        continue;
-      }
+        break;
+      case UndoRecord::Kind::kDropIndex:
+        if (storage::TableImage* image = entry(rec)) {
+          auto& defs = image->indexes;
+          size_t at = std::min(rec.index_position, defs.size());
+          defs.insert(defs.begin() + static_cast<ptrdiff_t>(at),
+                      storage::IndexDef{rec.index_name, rec.index_columns});
+        }
+        break;
+      default:
+        break;
     }
-    return Status::Internal("bad undo kind");
   }
-  return Status::Ok();
 }
 
 Status TxnManager::ApplyUndo(const UndoRecord& rec,
                              storage::TableStore* store, ProcRegistry* procs,
                              uint64_t txn_id) {
+  storage::Table* t = rec.table.get();
   switch (rec.kind) {
-    case UndoRecord::Kind::kInsert: {
-      storage::Table* t = store->Get(rec.table);
-      if (t == nullptr) return Status::Internal("undo-insert: missing table");
+    case UndoRecord::Kind::kInsert:
       PHX_RETURN_IF_ERROR(t->Delete(rec.rid));
       t->MvccUndoInsert(rec.rid, txn_id);
       return Status::Ok();
-    }
-    case UndoRecord::Kind::kDelete: {
-      storage::Table* t = store->Get(rec.table);
-      if (t == nullptr) return Status::Internal("undo-delete: missing table");
+    case UndoRecord::Kind::kDelete:
       PHX_RETURN_IF_ERROR(t->Insert(rec.row, rec.rid).status());
       t->MvccUndoDelete(rec.rid, txn_id);
       return Status::Ok();
-    }
-    case UndoRecord::Kind::kUpdate: {
-      storage::Table* t = store->Get(rec.table);
-      if (t == nullptr) return Status::Internal("undo-update: missing table");
+    case UndoRecord::Kind::kUpdate:
       PHX_RETURN_IF_ERROR(t->Update(rec.rid, rec.row));
-      t->MvccUndoUpdate(rec.rid, txn_id);
+      t->MvccUndoDelete(rec.rid, txn_id);  // same unwind as a delete
       return Status::Ok();
-    }
     case UndoRecord::Kind::kCreateTable:
-      return store->DropTable(rec.table);
-    case UndoRecord::Kind::kDropTable: {
-      Decoder dec(rec.snapshot);
-      PHX_ASSIGN_OR_RETURN(std::unique_ptr<storage::Table> table,
-                           storage::Table::DecodeSnapshot(&dec));
-      // DecodeSnapshot always makes persistent tables; restore the flags via
-      // a fresh table when the dropped one was temporary.
-      if (!rec.snapshot_temporary) {
-        // Re-register as-is.
-        PHX_ASSIGN_OR_RETURN(
-            storage::Table * created,
-            store->CreateTable(table->name(), table->schema(),
-                               table->pk_columns(), /*temporary=*/false));
-        for (const auto& [rid, row] : table->rows()) {
-          auto ins = created->Insert(row, rid);
-          PHX_RETURN_IF_ERROR(ins.status());
-        }
-        return RestoreIndexes(*table, created);
-      }
-      PHX_ASSIGN_OR_RETURN(
-          storage::Table * created,
-          store->CreateTable(table->name(), table->schema(),
-                             table->pk_columns(), /*temporary=*/true));
-      created->set_owner_session(rec.snapshot_owner);
-      for (const auto& [rid, row] : table->rows()) {
-        auto ins = created->Insert(row, rid);
-        PHX_RETURN_IF_ERROR(ins.status());
-      }
-      return RestoreIndexes(*table, created);
-    }
+      return store->DropTable(t->name());
+    case UndoRecord::Kind::kDropTable:
+      // The same object comes back: rows, indexes, owner and versions.
+      return store->Install(rec.table);
     case UndoRecord::Kind::kCreateTempProc:
-      return procs->Unregister(rec.table);
+      return procs->Unregister(rec.proc);
     case UndoRecord::Kind::kDropTempProc: {
       PHX_ASSIGN_OR_RETURN(std::unique_ptr<sql::Statement> stmt,
-                           sql::Parser::ParseStatement(rec.snapshot));
+                           sql::Parser::ParseStatement(rec.proc_sql));
       if (stmt->kind != sql::StmtKind::kCreateProc) {
         return Status::Internal("undo-drop-proc: bad snapshot");
       }
-      return procs->Register(std::move(stmt->create_proc),
-                             rec.snapshot_owner);
+      return procs->Register(std::move(stmt->create_proc), rec.proc_owner);
     }
-    case UndoRecord::Kind::kCreateIndex: {
-      storage::Table* t = store->Get(rec.table);
-      if (t == nullptr) return Status::Internal("undo-create-index: missing table");
+    case UndoRecord::Kind::kCreateIndex:
       return t->DropIndex(rec.index_name);
-    }
-    case UndoRecord::Kind::kDropIndex: {
-      storage::Table* t = store->Get(rec.table);
-      if (t == nullptr) return Status::Internal("undo-drop-index: missing table");
+    case UndoRecord::Kind::kDropIndex:
       // Restore at the recorded position, not at the end: the planner's
       // cost tie-break follows declaration order, and a rolled-back DROP
       // must leave plan selection exactly as it found it.
-      return t->CreateIndexAt(rec.index_name, rec.index_columns,
-                              rec.index_position);
-    }
+      return t->CreateIndex(rec.index_name, rec.index_columns,
+                            rec.index_position);
   }
   return Status::Internal("bad undo kind");
 }

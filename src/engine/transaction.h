@@ -22,19 +22,21 @@ struct UndoRecord {
     kDelete,       ///< undo by re-inserting `row` at `rid`
     kUpdate,       ///< undo by restoring `row` at `rid`
     kCreateTable,  ///< undo by dropping `table`
-    kDropTable,    ///< undo by re-creating from `snapshot`
-    kCreateTempProc,  ///< undo by unregistering `table` (holds proc name)
-    kDropTempProc,    ///< undo by re-registering `snapshot` (proc SQL text)
+    kDropTable,    ///< undo by reinstalling `table`, the dropped object
+    kCreateTempProc,  ///< undo by unregistering `proc`
+    kDropTempProc,    ///< undo by re-registering `proc_sql`
     kCreateIndex,     ///< undo by dropping `index_name` on `table`
     kDropIndex,       ///< undo by re-creating `index_name`(`index_columns`)
   };
   Kind kind;
-  std::string table;
+  /// The table object touched — held, not named, so undo and commit-time
+  /// version finalization reach it even while a DROP TABLE has it parked.
+  std::shared_ptr<storage::Table> table;
   storage::RowId rid = 0;
   Row row;
-  std::string snapshot;          ///< encoded Table or proc SQL text
-  bool snapshot_temporary = false;
-  uint64_t snapshot_owner = 0;
+  std::string proc;
+  std::string proc_sql;
+  uint64_t proc_owner = 0;
   std::string index_name;
   std::vector<int> index_columns;
   /// For kDropIndex: the dropped index's position in the table's index
@@ -87,14 +89,11 @@ class TxnManager {
   Status UndoTo(Txn* txn, size_t undo_from, size_t redo_from,
                 storage::TableStore* store, ProcRegistry* procs);
 
-  /// Applies `txn`'s whole undo stack, in reverse, to a checkpoint CLONE —
-  /// without consuming it (the live transaction keeps running). Under the
-  /// no-steal policy an active transaction's uncommitted effects are already
-  /// in the store the clone was copied from; reverting them in the clone
-  /// yields the image a committed-state-only snapshot must contain. Records
-  /// touching state the clone does not carry are skipped: temp tables and
-  /// temp procs are session-scoped and never checkpointed.
-  Status RevertInClone(const Txn& txn, storage::TableStore* clone);
+  /// Takes `txn`'s table and index DDL back out of a checkpoint catalog
+  /// captured from the live store, newest first: a created table leaves, a
+  /// dropped one returns, an index definition leaves or returns to its
+  /// position. Row effects need nothing: the snapshot does not see them.
+  static void RevertCatalog(const Txn& txn, storage::CatalogImage* catalog);
 
  private:
   Status ApplyUndo(const UndoRecord& rec, storage::TableStore* store,

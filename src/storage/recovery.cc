@@ -203,31 +203,34 @@ Status DurabilityManager::WaitCommit(WalCommitTicket* ticket) {
   return wal_writer_.WaitCommit(ticket);
 }
 
-Status DurabilityManager::WriteCheckpoint(const TableStore& store,
-                                          uint64_t next_txn_id,
-                                          bool truncate_wal) {
-  // The fence is the last LSN the writer handed out: the caller guarantees
-  // `store` reflects every record up to it (the engine holds its data lock
-  // exclusively around this call, so no enqueue can race the capture).
-  uint64_t fence_lsn = wal_writer_.last_assigned_lsn();
-  PHX_RETURN_IF_ERROR(WriteCheckpointImage(store, next_txn_id, fence_lsn));
-  // The crash window: the checkpoint image is durable but the WAL still
-  // holds records it subsumes. Recover() must skip those, keyed off the
-  // image's fence_lsn.
-  if (!truncate_wal) return Status::Ok();
-  return TruncateWalToFence(fence_lsn);
-}
-
-Status DurabilityManager::WriteCheckpointImage(const TableStore& store,
+Status DurabilityManager::WriteCheckpointImage(const CatalogImage& tables,
+                                               const MvccSnapshot& snap,
                                                uint64_t next_txn_id,
-                                               uint64_t fence_lsn) {
+                                               std::shared_mutex* chunk_mu) {
   StopWatch watch;
   Encoder enc;
   enc.PutU32(kCheckpointMagic);
   enc.PutU32(kCheckpointVersion);
   enc.PutU64(next_txn_id);
-  enc.PutU64(fence_lsn);
-  store.EncodeSnapshot(&enc);
+  enc.PutU64(snap.lsn);
+  enc.PutU32(static_cast<uint32_t>(tables.size()));
+  std::vector<std::pair<RowId, const Row*>> rows;
+  for (const auto& [name, image] : tables) {
+    TableImageEncoder out(&enc, *image.table, image.next_rid);
+    RowId from = 0;
+    do {
+      // Row pointers are valid only under the hold: encode them inside it.
+      std::shared_lock<std::shared_mutex> hold;
+      if (chunk_mu != nullptr) hold = std::shared_lock(*chunk_mu);
+      rows.clear();
+      from = image.table->MvccScanVisible(snap, &rows, from,
+                                          kCheckpointChunkRows);
+      for (const auto& [rid, row] : rows) out.AddRow(rid, *row);
+      if (hold.owns_lock()) hold.unlock();
+      if (chunk_hook_) chunk_hook_();
+    } while (from != 0);
+    out.Finish(image.indexes);
+  }
   size_t bytes = enc.size();
   PHX_RETURN_IF_ERROR(disk_->WriteAtomic(ckpt_file_, enc.Take()));
   // Metrics are recorded per image written, deliberately before any
@@ -271,6 +274,7 @@ Status DurabilityManager::LoadCheckpoint(TableStore* store,
                   version, kCheckpointVersion);
     return Status::IoError(msg);
   }
+  local->image_version = version;
   PHX_ASSIGN_OR_RETURN(local->next_txn_id, dec.GetU64());
   if (version >= 2) {
     PHX_ASSIGN_OR_RETURN(local->fence_lsn, dec.GetU64());
@@ -321,7 +325,8 @@ Status DurabilityManager::RecoverImpl(TableStore* store, RecoveryInfo* local) {
   // before op decode, so subsumed records cost a CRC check and 16 bytes of
   // header decode, nothing more.
   auto subsumed = [&](uint64_t lsn, uint64_t txn_id) {
-    bool skip = fence_lsn > 0 ? lsn <= fence_lsn : txn_id < ckpt_next_txn;
+    bool skip = local->image_version >= 2 ? lsn <= fence_lsn
+                                          : txn_id < ckpt_next_txn;
     if (skip) ++local->records_skipped;
     return skip;
   };

@@ -1,8 +1,10 @@
 #ifndef PHOENIX_STORAGE_RECOVERY_H_
 #define PHOENIX_STORAGE_RECOVERY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <shared_mutex>
 #include <string>
 
 #include "common/status.h"
@@ -27,6 +29,10 @@ struct RecoveryInfo {
   /// The v2 checkpoint fence (0 for v1 images or no checkpoint): every WAL
   /// record with lsn <= fence_lsn was already applied to the image.
   uint64_t fence_lsn = 0;
+  /// Format version of the loaded image (0 = none). Replay fences on
+  /// fence_lsn for v2+ — even at 0, an image taken before the first logged
+  /// commit — and on txn ids only for v1.
+  uint32_t image_version = 0;
   /// The WAL scan's torn-tail accounting (see WalScanStats).
   WalScanStats wal_scan;
   uint64_t next_txn_id = 1;
@@ -41,6 +47,10 @@ struct RecoveryInfo {
   uint64_t partitions_replayed = 0;
   uint64_t ddl_barriers = 0;
 };
+
+/// Rids a checkpoint examines per shared hold of the data lock, so a writer
+/// waits for at most one chunk, never for a whole table.
+inline constexpr size_t kCheckpointChunkRows = 1024;
 
 /// Applies one redo op to the store. Replay is idempotent in the sense that
 /// a whole committed record either was fully reflected in the checkpoint or
@@ -58,8 +68,9 @@ Status ApplyWalOpToTable(Table* t, const WalOp& op);
 /// Write path:  LogCommit(record) — forced append (write-ahead rule), after
 ///              which the in-memory TableStore mutation is allowed to be
 ///              considered durable.
-/// Checkpoint:  snapshot of all persistent tables + next txn id, written
-///              atomically, then the WAL is truncated.
+/// Checkpoint:  image of all persistent tables as of a pinned MVCC snapshot
+///              + next txn id, written atomically, then the WAL is truncated
+///              to the snapshot's LSN (the fence).
 /// Recovery:    load checkpoint (if any), then redo every complete,
 ///              checksum-valid WAL record.
 class DurabilityManager {
@@ -75,26 +86,19 @@ class DurabilityManager {
   WalCommitTicket EnqueueCommit(const WalCommitRecord& record);
   Status WaitCommit(WalCommitTicket* ticket);
 
-  /// Writes the checkpoint image atomically, then truncates the WAL up to
-  /// the current last-assigned LSN. With `truncate_wal = false` the
-  /// truncation is skipped — that is the durable state a crash in the
-  /// window between the two steps leaves behind, and fault tests use it to
-  /// prove Recover() tolerates the window (it must skip the stale records
-  /// rather than double-apply them).
-  Status WriteCheckpoint(const TableStore& store, uint64_t next_txn_id,
-                         bool truncate_wal = true);
-
-  /// The two halves of WriteCheckpoint, split so the engine's background
-  /// checkpointer can run them against a snapshot clone while live commits
-  /// proceed. `store` must be a consistent image as of `fence_lsn`: the
-  /// image claims to subsume exactly the WAL records with lsn <= fence_lsn,
-  /// and recovery will skip those unconditionally. Metrics
-  /// (storage.checkpoints / .bytes / .duration_us) are recorded here — on
-  /// every image write, whether or not a truncation follows.
-  Status WriteCheckpointImage(const TableStore& store, uint64_t next_txn_id,
-                              uint64_t fence_lsn);
+  /// The two steps of a checkpoint. WriteCheckpointImage atomically writes
+  /// an image of `tables` with the rows `snap` sees, subsuming exactly the
+  /// WAL records with lsn <= snap.lsn (the fence). Each chunk of rows is
+  /// encoded under a shared hold of `chunk_mu` (null: no lock). Metrics
+  /// (storage.checkpoints / .bytes / .duration_us, spanning encode and
+  /// write) count every image written, truncated or not.
+  Status WriteCheckpointImage(const CatalogImage& tables,
+                              const MvccSnapshot& snap, uint64_t next_txn_id,
+                              std::shared_mutex* chunk_mu);
   /// Amputates the fenced WAL prefix (WalWriter::TruncateUpTo): records
-  /// past the fence — commits that raced the checkpoint — survive.
+  /// past the fence — commits that raced the checkpoint — survive. A crash
+  /// between the two steps leaves an image plus records it subsumes, which
+  /// Recover() must skip rather than double-apply.
   Status TruncateWalToFence(uint64_t fence_lsn);
 
   /// Rebuilds `store` from durable state. The store is cleared first, and
@@ -124,6 +128,12 @@ class DurabilityManager {
     replay_hook_ = std::move(hook);
   }
 
+  /// Called after each row chunk of a checkpoint encode, with `chunk_mu`
+  /// released. Fault tests use it to land commits and DDL mid-table.
+  void set_checkpoint_chunk_hook(std::function<void()> hook) {
+    chunk_hook_ = std::move(hook);
+  }
+
   SimDisk* disk() { return disk_; }
   const std::string& wal_file() const { return wal_file_; }
   const std::string& ckpt_file() const { return ckpt_file_; }
@@ -141,6 +151,7 @@ class DurabilityManager {
   WalWriter wal_writer_;
   uint64_t recovery_threads_ = 1;
   std::function<void(uint64_t)> replay_hook_;
+  std::function<void()> chunk_hook_;
 };
 
 }  // namespace phoenix::storage

@@ -173,10 +173,6 @@ bool Table::MvccUndoDelete(RowId rid, uint64_t txn) {
   return true;
 }
 
-bool Table::MvccUndoUpdate(RowId rid, uint64_t txn) {
-  return MvccUndoDelete(rid, txn);  // same unwind: pop + restore begin
-}
-
 void Table::MvccFinalize(RowId rid, uint64_t txn, uint64_t lsn) {
   auto lit = live_begin_.find(rid);
   if (lit != live_begin_.end() && lit->second.txn == txn) {
@@ -252,14 +248,14 @@ const Row* Table::MvccVersionAsOf(RowId rid, const MvccSnapshot& snap) const {
   return nullptr;
 }
 
-void Table::MvccScanVisible(
-    const MvccSnapshot& snap,
-    std::vector<std::pair<RowId, const Row*>>* out) const {
-  auto rit = rows_.begin();
-  auto oit = old_.begin();
+RowId Table::MvccScanVisible(
+    const MvccSnapshot& snap, std::vector<std::pair<RowId, const Row*>>* out,
+    RowId from, size_t limit) const {
+  auto rit = rows_.lower_bound(from);
+  auto oit = old_.lower_bound(from);
   // Merge the live map and the version-chain map in RowId order so the
   // visible scan order matches a plain rows() iteration.
-  while (rit != rows_.end() || oit != old_.end()) {
+  for (size_t seen = 0; rit != rows_.end() || oit != old_.end(); ++seen) {
     RowId rid;
     if (oit == old_.end() || (rit != rows_.end() && rit->first <= oit->first)) {
       rid = rit->first;
@@ -269,18 +265,16 @@ void Table::MvccScanVisible(
       rid = oit->first;
       ++oit;
     }
+    if (seen == limit) return rid;
     if (const Row* row = MvccVersionAsOf(rid, snap)) {
       out->emplace_back(rid, row);
     }
   }
+  return 0;
 }
 
-Status Table::CreateIndex(const std::string& name, std::vector<int> columns) {
-  return CreateIndexAt(name, std::move(columns), indexes_.size());
-}
-
-Status Table::CreateIndexAt(const std::string& name, std::vector<int> columns,
-                            size_t position) {
+Status Table::CreateIndex(const std::string& name, std::vector<int> columns,
+                          size_t position) {
   std::string key = IdentUpper(name);
   if (key.empty()) return Status::InvalidArgument("empty index name");
   if (FindIndex(key) != nullptr) {
@@ -302,8 +296,8 @@ Status Table::CreateIndexAt(const std::string& name, std::vector<int> columns,
     idx.entries[KeyFor(idx.columns, row)].insert(rid);
   }
   // Backfill sees only live rows; give snapshot probes their dead keys too,
-  // so a freshly (re)created index is immediately usable by any snapshot
-  // newer than its fence (the engine sets mvcc_created_lsn).
+  // so a freshly (re)created index also serves snapshots pinned before it
+  // existed (the catalog itself is not versioned).
   for (const auto& [rid, chain] : old_) {
     for (const MvccVersion& v : chain) {
       idx.dead_entries[KeyFor(idx.columns, v.row)].insert(rid);
@@ -342,25 +336,48 @@ size_t Table::IndexPosition(const std::string& name) const {
   return static_cast<size_t>(-1);
 }
 
-void Table::EncodeSnapshot(Encoder* enc, bool with_indexes) const {
-  enc->PutString(name_);
-  enc->PutSchema(schema_);
-  enc->PutU32(static_cast<uint32_t>(pk_columns_.size()));
-  for (int c : pk_columns_) enc->PutI32(c);
-  enc->PutU64(next_rid_);
-  enc->PutU64(rows_.size());
-  for (const auto& [rid, row] : rows_) {
-    enc->PutU64(rid);
-    enc->PutRow(row);
+std::vector<IndexDef> Table::IndexDefs() const {
+  std::vector<IndexDef> defs;
+  defs.reserve(indexes_.size());
+  for (const SecondaryIndex& idx : indexes_) {
+    defs.push_back(IndexDef{idx.name, idx.columns});
   }
+  return defs;
+}
+
+TableImage Table::Image() const {
+  return TableImage{shared_from_this(), next_rid_, IndexDefs()};
+}
+
+TableImageEncoder::TableImageEncoder(Encoder* enc, const Table& table,
+                                     RowId next_rid)
+    : enc_(enc) {
+  enc_->PutString(table.name());
+  enc_->PutSchema(table.schema());
+  enc_->PutU32(static_cast<uint32_t>(table.pk_columns().size()));
+  for (int c : table.pk_columns()) enc_->PutI32(c);
+  enc_->PutU64(next_rid);
+  count_at_ = enc_->size();
+  enc_->PutU64(0);
+}
+
+void TableImageEncoder::AddRow(RowId rid, const Row& row) {
+  enc_->PutU64(rid);
+  enc_->PutRow(row);
+  ++rows_;
+}
+
+void TableImageEncoder::Finish(const std::vector<IndexDef>& indexes,
+                               bool with_indexes) {
+  enc_->PatchU64(count_at_, rows_);
   if (!with_indexes) return;
   // Definitions only: the entry trees are rebuilt from the rows on decode,
   // so an image can never carry an index inconsistent with its heap.
-  enc->PutU32(static_cast<uint32_t>(indexes_.size()));
-  for (const SecondaryIndex& idx : indexes_) {
-    enc->PutString(idx.name);
-    enc->PutU32(static_cast<uint32_t>(idx.columns.size()));
-    for (int c : idx.columns) enc->PutI32(c);
+  enc_->PutU32(static_cast<uint32_t>(indexes.size()));
+  for (const IndexDef& idx : indexes) {
+    enc_->PutString(idx.name);
+    enc_->PutU32(static_cast<uint32_t>(idx.columns.size()));
+    for (int c : idx.columns) enc_->PutI32(c);
   }
 }
 
@@ -403,19 +420,6 @@ Result<std::unique_ptr<Table>> Table::DecodeSnapshot(Decoder* dec,
   return table;
 }
 
-std::unique_ptr<Table> Table::Clone() const {
-  auto copy = std::make_unique<Table>(name_, schema_, pk_columns_, temporary_);
-  copy->owner_session_ = owner_session_;
-  copy->next_rid_ = next_rid_;
-  copy->rows_ = rows_;
-  copy->pk_index_ = pk_index_;
-  copy->indexes_ = indexes_;
-  // Clones materialize only committed latest versions: checkpoint reverts
-  // and image encoding are version-oblivious by contract.
-  for (SecondaryIndex& idx : copy->indexes_) idx.dead_entries.clear();
-  return copy;
-}
-
 Result<Table*> TableStore::CreateTable(const std::string& name, Schema schema,
                                        std::vector<int> pk_columns,
                                        bool temporary) {
@@ -428,7 +432,7 @@ Result<Table*> TableStore::CreateTable(const std::string& name, Schema schema,
       return Status::InvalidArgument("primary key column out of range");
     }
   }
-  auto table = std::make_unique<Table>(key, std::move(schema),
+  auto table = std::make_shared<Table>(key, std::move(schema),
                                        std::move(pk_columns), temporary);
   Table* raw = table.get();
   tables_[key] = std::move(table);
@@ -439,6 +443,14 @@ Status TableStore::DropTable(const std::string& name) {
   auto it = tables_.find(IdentUpper(name));
   if (it == tables_.end()) return Status::NotFound("no such table: " + name);
   tables_.erase(it);
+  return Status::Ok();
+}
+
+Status TableStore::Install(std::shared_ptr<Table> table) {
+  std::string key = table->name();
+  if (!tables_.emplace(key, std::move(table)).second) {
+    return Status::AlreadyExists("table already exists: " + key);
+  }
   return Status::Ok();
 }
 
@@ -479,17 +491,19 @@ void TableStore::EncodeSnapshot(Encoder* enc) const {
   }
   enc->PutU32(persistent);
   for (const auto& [name, table] : tables_) {
-    if (!table->temporary()) table->EncodeSnapshot(enc);
+    if (table->temporary()) continue;
+    TableImageEncoder out(enc, *table, table->next_rid());
+    for (const auto& [rid, row] : table->rows()) out.AddRow(rid, row);
+    out.Finish(table->IndexDefs());
   }
 }
 
-std::unique_ptr<TableStore> TableStore::ClonePersistent() const {
-  auto clone = std::make_unique<TableStore>();
+CatalogImage TableStore::CapturePersistent() const {
+  CatalogImage catalog;
   for (const auto& [name, table] : tables_) {
-    if (table->temporary()) continue;
-    clone->tables_[name] = table->Clone();
+    if (!table->temporary()) catalog.emplace(name, table->Image());
   }
-  return clone;
+  return catalog;
 }
 
 Status TableStore::DecodeSnapshot(Decoder* dec, bool with_indexes) {

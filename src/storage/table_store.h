@@ -1,6 +1,7 @@
 #ifndef PHOENIX_STORAGE_TABLE_STORE_H_
 #define PHOENIX_STORAGE_TABLE_STORE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -61,10 +62,10 @@ struct RowLess {
 
 /// One ordered (non-unique) secondary index: the projection of each row onto
 /// `columns`, mapped to the set of RowIds carrying that key. Entries are
-/// derivable from the base rows — snapshots persist only the definition and
+/// derivable from the base rows — images persist only the definition and
 /// rebuild the tree on decode — but the in-memory tree is maintained
 /// incrementally through every mutation (Insert/Delete/Update), so DML, WAL
-/// replay, undo, and checkpoint-clone reverts all keep it exact for free.
+/// replay and undo all keep it exact for free.
 struct SecondaryIndex {
   std::string name;          ///< uppercased, unique within the table
   std::vector<int> columns;  ///< key columns, in index order
@@ -79,11 +80,20 @@ struct SecondaryIndex {
   std::map<Row, std::set<RowId>, RowLess> dead_entries;
 };
 
+/// What an image records of a secondary index: its name and key columns.
+struct IndexDef {
+  std::string name;
+  std::vector<int> columns;
+};
+
+struct TableImage;
+
 /// One heap table: rows addressed by stable RowIds, an optional unique
 /// primary-key index, ordered secondary indexes, and a temporary flag (temp
 /// tables are never logged, never checkpointed, and die with their owning
-/// session or the server).
-class Table {
+/// session or the server). Always owned through shared_ptr: the store, an
+/// undo record parking a dropped table, and a checkpoint may share one.
+class Table : public std::enable_shared_from_this<Table> {
  public:
   Table(std::string name, Schema schema, std::vector<int> pk_columns,
         bool temporary)
@@ -131,28 +141,27 @@ class Table {
   static Row KeyFor(const std::vector<int>& columns, const Row& row);
 
   // ---- Secondary indexes ------------------------------------------------
-  /// Builds an ordered index over `columns` and backfills it from the
-  /// current rows. Fails on a duplicate name or out-of-range column.
-  Status CreateIndex(const std::string& name, std::vector<int> columns);
-  /// CreateIndex, but splices the new index at `position` in the index
-  /// vector instead of appending (clamped to the vector size). Rollback of
-  /// DROP INDEX uses this so the planner's cost tie-break — which prefers
-  /// the earliest index in declaration order — is unchanged by an undone
-  /// drop.
-  Status CreateIndexAt(const std::string& name, std::vector<int> columns,
-                       size_t position);
+  /// Builds an ordered index over `columns`, backfills it from the current
+  /// rows, and puts it at `position` in declaration order (default last).
+  /// Rollback of DROP INDEX passes the old position: the planner breaks
+  /// cost ties by declaration order. Fails on a duplicate name or an
+  /// out-of-range column.
+  Status CreateIndex(const std::string& name, std::vector<int> columns,
+                     size_t position = SIZE_MAX);
   Status DropIndex(const std::string& name);
   /// nullptr when absent. Name lookup is case-insensitive.
   const SecondaryIndex* FindIndex(const std::string& name) const;
   /// Position of the named index in declaration order; npos when absent.
   size_t IndexPosition(const std::string& name) const;
   const std::vector<SecondaryIndex>& indexes() const { return indexes_; }
+  std::vector<IndexDef> IndexDefs() const;
+  /// A shared reference plus the current rid counter and index definitions.
+  TableImage Image() const;
 
   // ---- MVCC (engine-driven; see DESIGN.md §16) --------------------------
-  // The primitives above stay version-oblivious: WAL replay, undo, and
-  // checkpoint-clone reverts materialize only committed latest versions.
-  // When versioning is on, the engine notes each successful mutation with
-  // the pending transaction id and the pre-image, finalizes the pending
+  // The primitives above stay version-oblivious: WAL replay and undo touch
+  // only latest versions. The engine notes each mutation of a persistent
+  // table with the pending transaction id and the pre-image, finalizes the
   // stamps with the commit LSN at commit, unwinds notes on rollback, and
   // reclaims superseded versions once the watermark passes them.
 
@@ -168,8 +177,7 @@ class Table {
   /// when a retained version was released. Self-gating: no-ops when the
   /// matching note is absent (a temp table, or state already unwound).
   bool MvccUndoInsert(RowId rid, uint64_t txn);
-  bool MvccUndoDelete(RowId rid, uint64_t txn);
-  bool MvccUndoUpdate(RowId rid, uint64_t txn);
+  bool MvccUndoDelete(RowId rid, uint64_t txn);  ///< also undoes updates
   /// At commit, under the exclusive data lock, before the commit LSN is
   /// published: rewrites every pending stamp of `txn` on `rid` to
   /// "committed at `lsn`".
@@ -191,28 +199,24 @@ class Table {
   /// mutation or reclaim — callers copy under the data lock.
   const Row* MvccVersionAsOf(RowId rid, const MvccSnapshot& snap) const;
   /// Appends every (rid, row) visible as of `snap`, in RowId order — the
-  /// snapshot analogue of iterating rows().
-  void MvccScanVisible(const MvccSnapshot& snap,
-                       std::vector<std::pair<RowId, const Row*>>* out) const;
+  /// snapshot analogue of iterating rows(). A bounded scan starts at rid
+  /// `from` and stops after examining `limit` rids; it returns the rid to
+  /// resume from, or 0 once no rids are left.
+  RowId MvccScanVisible(const MvccSnapshot& snap,
+                        std::vector<std::pair<RowId, const Row*>>* out,
+                        RowId from = 0, size_t limit = SIZE_MAX) const;
   /// Dead-key side map for snapshot PK probes (keys of superseded
   /// versions; conservatively over-inclusive).
   const std::map<Row, std::set<RowId>, RowLess>& mvcc_dead_pk() const {
     return dead_pk_;
   }
 
-  /// Serialization: `with_indexes` distinguishes checkpoint image v3 (index
-  /// definitions appended after the rows) from v1/v2 images that predate
-  /// indexes. In-process snapshots (undo records) always use the current
-  /// format. Index *entries* are never serialized — they are rebuilt from
-  /// the rows on decode, which guarantees tree/heap consistency by
+  /// Decodes one table of a checkpoint image (TableImageEncoder's format;
+  /// `with_indexes = false` for v1/v2 images, which predate indexes). Index
+  /// entries are rebuilt from the rows, so tree and heap agree by
   /// construction.
-  void EncodeSnapshot(Encoder* enc, bool with_indexes = true) const;
   static Result<std::unique_ptr<Table>> DecodeSnapshot(
       Decoder* dec, bool with_indexes = true);
-
-  /// Deep copy — rows, PK index, and the rid counter — for checkpoint
-  /// snapshots taken while the original keeps mutating.
-  std::unique_ptr<Table> Clone() const;
 
  private:
   std::string name_;
@@ -229,12 +233,41 @@ class Table {
   // stamps the current version of a row; absence means {0, 0} = visible to
   // all. `old_` holds superseded version chains per RowId, oldest first.
   // `dead_pk_` mirrors dead_entries for the PK index. None of this is
-  // serialized or cloned: images and checkpoint clones carry only
-  // committed latest versions.
+  // serialized: an image carries the one version of each row its snapshot
+  // sees.
   std::map<RowId, MvccStamp> live_begin_;
   std::map<RowId, std::vector<MvccVersion>> old_;
   std::map<Row, std::set<RowId>, RowLess> dead_pk_;
   size_t old_count_ = 0;
+};
+
+/// One persistent table as a checkpoint captures it at its fence: the table
+/// object, whose rows are read through the checkpoint's pinned snapshot,
+/// plus what a snapshot read cannot recover — the rid counter and the index
+/// definitions in declaration order.
+struct TableImage {
+  std::shared_ptr<const Table> table;
+  RowId next_rid = 1;
+  std::vector<IndexDef> indexes;
+};
+
+/// A checkpoint's catalog: the captured persistent tables by name.
+using CatalogImage = std::map<std::string, TableImage>;
+
+/// The one encoder of the table image format: name, schema, PK columns,
+/// next_rid, row count, (rid, row) pairs in RowId order, then — image v3
+/// only — the index definitions. Rows stream in one at a time (a checkpoint
+/// adds them chunk by chunk); Finish patches the row count in.
+class TableImageEncoder {
+ public:
+  TableImageEncoder(Encoder* enc, const Table& table, RowId next_rid);
+  void AddRow(RowId rid, const Row& row);
+  void Finish(const std::vector<IndexDef>& indexes, bool with_indexes = true);
+
+ private:
+  Encoder* enc_;
+  size_t count_at_ = 0;  ///< offset of the row-count slot
+  uint64_t rows_ = 0;
 };
 
 /// The set of all tables. Names are case-insensitive (stored uppercased).
@@ -243,6 +276,9 @@ class TableStore {
   Result<Table*> CreateTable(const std::string& name, Schema schema,
                              std::vector<int> pk_columns, bool temporary);
   Status DropTable(const std::string& name);
+  /// Puts a table object back under its name (rollback of DROP TABLE
+  /// reinstalls the dropped object). Fails if the name is taken.
+  Status Install(std::shared_ptr<Table> table);
   /// nullptr when absent.
   Table* Get(const std::string& name);
   const Table* Get(const std::string& name) const;
@@ -253,23 +289,20 @@ class TableStore {
   /// Drops every temp table owned by `session_id`; returns their names.
   std::vector<std::string> DropSessionTemps(uint64_t session_id);
 
-  /// Serializes all *persistent* tables (checkpoint payload). Image v3
-  /// carries index definitions per table; pass `with_indexes = false` when
-  /// decoding a v1/v2 image that predates them.
+  /// Serializes the live rows of all *persistent* tables as a checkpoint
+  /// payload; decode v1/v2 payloads (no index definitions) with
+  /// `with_indexes = false`.
   void EncodeSnapshot(Encoder* enc) const;
   Status DecodeSnapshot(Decoder* dec, bool with_indexes = true);
 
-  /// Deep-copies every persistent table — the fast half of a non-blocking
-  /// checkpoint. Temp tables are excluded exactly as EncodeSnapshot
-  /// excludes them, so encoding the clone later yields the same payload a
-  /// direct EncodeSnapshot at clone time would have.
-  std::unique_ptr<TableStore> ClonePersistent() const;
+  /// The Image() of every persistent table: O(tables), not O(rows).
+  CatalogImage CapturePersistent() const;
 
   void Clear() { tables_.clear(); }
   size_t size() const { return tables_.size(); }
 
  private:
-  std::map<std::string, std::unique_ptr<Table>> tables_;
+  std::map<std::string, std::shared_ptr<Table>> tables_;
 };
 
 }  // namespace phoenix::storage

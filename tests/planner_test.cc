@@ -666,7 +666,10 @@ TEST_F(PlannerTest, V2CheckpointImageStillAccepted) {
   enc.PutU64(100);  // next_txn_id
   enc.PutU64(fence);
   enc.PutU32(1);
-  db_->store()->Get("T2")->EncodeSnapshot(&enc, /*with_indexes=*/false);
+  const storage::Table* t2 = db_->store()->Get("T2");
+  storage::TableImageEncoder out(&enc, *t2, t2->next_rid());
+  for (const auto& [rid, row] : t2->rows()) out.AddRow(rid, row);
+  out.Finish({}, /*with_indexes=*/false);
   std::string file = db_->durability()->ckpt_file();
   ASSERT_TRUE(disk_.WriteAtomic(file, enc.Take()).ok());
   CrashAndRestart();

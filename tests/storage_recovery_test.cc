@@ -32,6 +32,18 @@ WalCommitRecord InsertCommit(uint64_t txn, RowId rid, int64_t k, int64_t v) {
   return rec;
 }
 
+/// Checkpoints a quiescent `store` fenced at the last assigned LSN; with
+/// `truncate_wal = false` it stops where a crash between the image write
+/// and the WAL truncation would.
+Status WriteCheckpoint(DurabilityManager* dm, const TableStore& store,
+                       uint64_t next_txn_id, bool truncate_wal = true) {
+  MvccSnapshot snap;
+  snap.lsn = dm->wal_writer()->last_assigned_lsn();
+  PHX_RETURN_IF_ERROR(dm->WriteCheckpointImage(store.CapturePersistent(),
+                                               snap, next_txn_id, nullptr));
+  return truncate_wal ? dm->TruncateWalToFence(snap.lsn) : Status::Ok();
+}
+
 TEST(StorageRecovery, EmptyDiskRecoversEmpty) {
   SimDisk disk;
   DurabilityManager dm(&disk, "db");
@@ -72,7 +84,7 @@ TEST(StorageRecovery, CheckpointPlusWal) {
   ASSERT_TRUE(dm.LogCommit(CreateTableCommit(1)).ok());
   ASSERT_TRUE(dm.LogCommit(InsertCommit(2, 1, 10, 100)).ok());
   ASSERT_TRUE(dm.Recover(&store, &ignore).ok());
-  ASSERT_TRUE(dm.WriteCheckpoint(store, 3).ok());
+  ASSERT_TRUE(WriteCheckpoint(&dm, store, 3).ok());
   ASSERT_TRUE(dm.LogCommit(InsertCommit(3, 2, 20, 200)).ok());
   disk.Crash();
 
@@ -146,7 +158,7 @@ TEST(StorageRecovery, CrashBetweenCheckpointImageAndWalTruncate) {
   RecoveryInfo ignore;
   ASSERT_TRUE(dm.Recover(&store, &ignore).ok());
   // Die inside Checkpoint(): the image is durable, the WAL untouched.
-  ASSERT_TRUE(dm.WriteCheckpoint(store, 3, /*truncate_wal=*/false).ok());
+  ASSERT_TRUE(WriteCheckpoint(&dm, store, 3, /*truncate_wal=*/false).ok());
   disk.Crash();
 
   TableStore recovered;
@@ -185,7 +197,7 @@ TEST(StorageRecovery, CheckpointMetricsRecordedOnBothTruncatePaths) {
 
   auto* reg = obs::MetricsRegistry::Default();
   obs::MetricsSnapshot before = reg->Snapshot();
-  ASSERT_TRUE(dm.WriteCheckpoint(store, 2, /*truncate_wal=*/false).ok());
+  ASSERT_TRUE(WriteCheckpoint(&dm, store, 2, /*truncate_wal=*/false).ok());
   obs::MetricsSnapshot mid = reg->Snapshot();
   EXPECT_EQ(mid.counter("storage.checkpoints") -
                 before.counter("storage.checkpoints"),
@@ -200,7 +212,7 @@ TEST(StorageRecovery, CheckpointMetricsRecordedOnBothTruncatePaths) {
                      : 0),
             1u);
 
-  ASSERT_TRUE(dm.WriteCheckpoint(store, 2, /*truncate_wal=*/true).ok());
+  ASSERT_TRUE(WriteCheckpoint(&dm, store, 2, /*truncate_wal=*/true).ok());
   obs::MetricsSnapshot after = reg->Snapshot();
   EXPECT_EQ(after.counter("storage.checkpoints") -
                 mid.counter("storage.checkpoints"),

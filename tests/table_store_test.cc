@@ -131,7 +131,9 @@ TEST(Table, SnapshotRoundTrip) {
   }
   ASSERT_TRUE(t.Delete(3).ok());
   Encoder enc;
-  t.EncodeSnapshot(&enc);
+  TableImageEncoder out(&enc, t, t.next_rid());
+  for (const auto& [rid, row] : t.rows()) out.AddRow(rid, row);
+  out.Finish(t.IndexDefs());
   Decoder dec(enc.data());
   auto back = Table::DecodeSnapshot(&dec);
   ASSERT_TRUE(back.ok());

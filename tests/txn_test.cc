@@ -111,6 +111,45 @@ TEST_F(TxnTest, DropTableRollbackRestoresContents) {
             StatusCode::kConstraint);
 }
 
+TEST_F(TxnTest, DropTableRollbackReinstallsTheSameTable) {
+  Exec("INSERT INTO T VALUES (1, 10), (2, 20), (3, 30)");
+  Exec("CREATE INDEX I1 ON T (V)");
+  Exec("CREATE INDEX I2 ON T (K, V)");
+  Exec("DELETE FROM T WHERE K = 3");
+  const storage::Table* before = db_->store()->Get("T");
+  const storage::RowId next_rid = before->next_rid();
+  Exec("BEGIN");
+  Exec("DROP TABLE T");
+  Exec("ROLLBACK");
+  const storage::Table* after = db_->store()->Get("T");
+  EXPECT_EQ(after, before);
+  // The rid counter survives, so a deleted row's rid is never handed out
+  // again, and the indexes keep their declaration order.
+  EXPECT_EQ(after->next_rid(), next_rid);
+  ASSERT_EQ(after->indexes().size(), 2u);
+  EXPECT_EQ(after->indexes()[0].name, "I1");
+  EXPECT_EQ(after->indexes()[1].name, "I2");
+}
+
+TEST_F(TxnTest, CommitReachesATableParkedByAnotherSessionsDrop) {
+  // This session's insert commits while another session's open DROP TABLE
+  // holds T in its undo record. The commit must still finalize the row's
+  // version on that table object, or the row would stay invisible to
+  // snapshot reads — and to checkpoints — once the drop rolls back.
+  uint64_t other = *db_->CreateSession("other");
+  Exec("BEGIN");
+  Exec("INSERT INTO T VALUES (1, 10)");
+  ASSERT_TRUE(db_->ExecuteScript(other, "BEGIN; DROP TABLE T").ok());
+  Exec("COMMIT");
+  ASSERT_TRUE(db_->ExecuteScript(other, "ROLLBACK").ok());
+  EXPECT_EQ(Count(), 1);
+
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  Database db2(&disk_);
+  ASSERT_TRUE(db2.Open().ok());
+  EXPECT_EQ(db2.store()->Get("T")->num_rows(), 1u);
+}
+
 TEST_F(TxnTest, TempProcCreateRollsBack) {
   Exec("BEGIN");
   Exec("CREATE TEMPORARY PROCEDURE TP AS SELECT 1");
@@ -155,9 +194,9 @@ TEST_F(TxnTest, TwoSessionsInterleave) {
 }
 
 TEST_F(TxnTest, CheckpointDuringActiveTxnExcludesUncommittedEffects) {
-  // Non-quiescent checkpoints: an open transaction no longer blocks
-  // Checkpoint(), and the image must hold committed state only — the open
-  // transaction's effects are reverted in the snapshot clone.
+  // Non-quiescent checkpoints: an open transaction does not block
+  // Checkpoint(), and the image must hold committed state only — the
+  // checkpoint's MVCC snapshot does not see the open transaction's writes.
   Exec("INSERT INTO T VALUES (1, 10)");
   Exec("BEGIN");
   Exec("INSERT INTO T VALUES (2, 20)");
@@ -179,14 +218,42 @@ TEST_F(TxnTest, CheckpointDuringActiveTxnExcludesUncommittedEffects) {
 }
 
 TEST_F(TxnTest, CheckpointDuringActiveTxnKeepsLiveStateIntact) {
-  // The snapshot reverts the open transaction in the CLONE only; the live
-  // store must still see the uncommitted effects afterwards.
+  // The checkpoint only reads through its snapshot; the live store must
+  // still hold the open transaction's uncommitted effects afterwards.
   Exec("BEGIN");
   Exec("INSERT INTO T VALUES (7, 70)");
   ASSERT_TRUE(db_->Checkpoint().ok());
   EXPECT_EQ(Count(), 1);
   Exec("COMMIT");
   EXPECT_EQ(Count(), 1);
+}
+
+TEST_F(TxnTest, CheckpointKeepsPositionOfIndexDroppedByOpenTxn) {
+  // The planner breaks cost ties by index declaration order, so an image
+  // must list the indexes exactly as the committed catalog does — even when
+  // an open transaction has dropped one of them at checkpoint time.
+  Exec("CREATE INDEX I1 ON T (V)");
+  Exec("CREATE INDEX I2 ON T (V)");
+  Exec("BEGIN");
+  Exec("DROP INDEX I1 ON T");
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  Exec("ROLLBACK");
+  auto names = [](const storage::Table& t) {
+    std::vector<std::string> out;
+    for (const storage::SecondaryIndex& idx : t.indexes()) {
+      out.push_back(idx.name);
+    }
+    return out;
+  };
+  const std::vector<std::string> want = {"I1", "I2"};
+  EXPECT_EQ(names(*db_->store()->Get("T")), want);
+
+  // The WAL was truncated to the fence, so the recovered catalog is the
+  // image's alone.
+  Database db2(&disk_);
+  ASSERT_TRUE(db2.Open().ok());
+  EXPECT_EQ(db2.recovery_info().records_replayed, 0u);
+  EXPECT_EQ(names(*db2.store()->Get("T")), want);
 }
 
 TEST_F(TxnTest, AutoCheckpointAfterNCommits) {
@@ -211,7 +278,7 @@ TEST_F(TxnTest, CheckpointCadenceCountsOnlyLoggedCommits) {
   // The cadence counts commits that wrote a WAL record — the unit
   // Database::Open seeds it with (records replayed). Read-only autocommits
   // and an empty BEGIN…COMMIT used to count too, so a read-heavy workload
-  // took the O(db) snapshot far more often than configured.
+  // checkpointed far more often than configured.
   storage::SimDisk disk;
   DatabaseOptions opts;
   opts.checkpoint_every_n_commits = 3;
