@@ -222,6 +222,9 @@ struct Observation {
   std::vector<Row> rows;
 };
 
+/// Fetch block of the long-lived cursor.
+constexpr int64_t kCursorBlockRows = 3;
+
 struct Client {
   DriverManager* dm = nullptr;
   Hdbc* dbc = nullptr;
@@ -267,6 +270,11 @@ Observation RunOp(Client* cl, const ChaosOp& op) {
         cl->cursor = nullptr;
       }
       cl->cursor = cl->dm->AllocStmt(cl->dbc);
+      // Blocks smaller than the cursor's result (at least 8 rows at open):
+      // Phoenix materializes it, and faults land between block fetches of
+      // a half-delivered result that recovery must re-position.
+      cl->dm->SetStmtAttr(cl->cursor, odbc::StmtAttr::kBlockSize,
+                          kCursorBlockRows);
       if (cl->dm->ExecDirect(cl->cursor, op.sql) != SqlReturn::kSuccess) {
         obs.ok = false;
         obs.error = DriverManager::Diag(cl->cursor).ToString();
@@ -766,6 +774,9 @@ ChaosReport RunProcessChaosSchedule(const ChaosOptions& opts) {
   report.recovery_recrashes = phoenix.stats().recovery_recrashes;
   report.lost_replies_recovered = phoenix.stats().lost_replies_recovered;
   report.failovers = phoenix.stats().failovers;
+  report.materialized_results = phoenix.stats().materialized_results;
+  report.whole_results = phoenix.stats().whole_results;
+  report.state_reinstalls = phoenix.stats().state_reinstalls;
 
   if (cs != nullptr) cs->broken = true;
   phoenix.Disconnect(chaos_client.dbc);
@@ -797,7 +808,10 @@ std::string ChaosReport::DebugString() const {
                   " sigkills=" + std::to_string(sigkills) +
                   " rdv_kills=" + std::to_string(rendezvous_kills) +
                   " replay_kills=" + std::to_string(replay_kills) +
-                  " failovers=" + std::to_string(failovers);
+                  " failovers=" + std::to_string(failovers) +
+                  " materialized=" + std::to_string(materialized_results) +
+                  " whole=" + std::to_string(whole_results) +
+                  " reinstalls=" + std::to_string(state_reinstalls);
   if (!failure.empty()) s += " failure=\"" + failure + "\"";
   return s + "}";
 }
@@ -1076,6 +1090,9 @@ ChaosReport RunChaosSchedule(const ChaosOptions& opts) {
   report.recoveries = phoenix.stats().recoveries;
   report.recovery_recrashes = phoenix.stats().recovery_recrashes;
   report.lost_replies_recovered = phoenix.stats().lost_replies_recovered;
+  report.materialized_results = phoenix.stats().materialized_results;
+  report.whole_results = phoenix.stats().whole_results;
+  report.state_reinstalls = phoenix.stats().state_reinstalls;
 
   // Teardown: the chaos session died with the final crash; mark it broken
   // so Disconnect skips server-side artifact cleanup instead of recovering.

@@ -124,6 +124,9 @@ struct ChaosReport {
   uint64_t rendezvous_kills = 0;    ///< ... of which landed mid-rendezvous
   uint64_t replay_kills = 0;        ///< ... of which landed mid-WAL-replay
   uint64_t failovers = 0;           ///< recoveries that switched servers
+  uint64_t materialized_results = 0;  ///< reads persisted as a result table
+  uint64_t whole_results = 0;       ///< reads whole in the probe's reply
+  uint64_t state_reinstalls = 0;    ///< cursors re-installed by recovery
 
   std::string DebugString() const;
 };

@@ -343,27 +343,47 @@ SqlReturn PhoenixDriverManager::ExecDirect(Hstmt* stmt,
 }
 
 // ---------------------------------------------------------------------------
-// SELECT: materialize the result set as a persistent server table
+// SELECT: one block back whole, anything larger persisted as a server table
 // ---------------------------------------------------------------------------
 
 SqlReturn PhoenixDriverManager::ExecMaterializedSelect(
     Hstmt* stmt, const sql::SelectStmt& sel, ConnState* cs) {
   Hdbc* dbc = stmt->dbc;
-  // The result set persists as a server table (metadata probe and
-  // materialization in one private round trip, the rows never leaving the
-  // server) and is delivered through a server cursor over it, its position
-  // tracked for seamless post-crash resumption.
+  // The first private round trip is the application's own query, capped one
+  // row past a fetch block. It reads what the materialization would read
+  // (the private connection's READ UNCOMMITTED live heap), so the answer
+  // never depends on which path delivers it.
+  auto probe =
+      ExecOnPrivate(dbc, MakeFirstBlockProbe(sel, stmt->block_size)->ToSql());
+  if (!probe.ok()) return Fail(stmt, probe.status());
+  if (probe->empty() || !(*probe)[0].has_rows) {
+    return Fail(stmt, Status::SqlError("query produced no result set"));
+  }
+  eng::StatementResult& first = (*probe)[0];
+  if (first.rows.size() <= stmt->block_size) {
+    // The whole result arrived in one reply, which a crash delivers whole
+    // or not at all; a lost reply is re-executed, since the application
+    // has seen nothing yet. No delivery position exists for a crash to
+    // lose, so the rows are held like a native default result set: no
+    // table, no commit, no StmtState.
+    ++stats_.whole_results;
+    obs::MetricsRegistry::Default()
+        ->GetCounter("core.reads_whole")
+        ->Increment();
+    InstallResult(stmt, std::move(first));
+    return SqlReturn::kSuccess;
+  }
+  // Larger results persist as a server table (the rows never leave the
+  // server) delivered through a server cursor over it, its position tracked
+  // for seamless post-crash resumption. The probe's schema is the metadata
+  // the application sees.
   std::string table = NextResultTableName(config_, cs);
-  uint64_t cursor_id = 0;
-  auto metadata = Materialize(dbc, cs, sel, sel, table, &cursor_id);
-  if (!metadata.ok()) return Fail(stmt, metadata.status());
+  auto opened = Materialize(dbc, cs, sel, table, stmt->block_size,
+                            /*shown=*/nullptr);
+  if (!opened.ok()) return Fail(stmt, opened.status());
   ++stats_.materialized_results;
-
-  stmt->has_result = true;
-  stmt->schema = std::move(*metadata);
-  stmt->server_cursor_id = cursor_id;
-  // Blocks of the app's configured size stream from the persistent table
-  // (the application still perceives an ordinary result set).
+  opened->schema = std::move(first.schema);
+  InstallOpenedCursor(stmt, std::move(*opened));
 
   auto vs = std::make_shared<StmtState>();
   vs->kind = StmtState::Kind::kMaterialized;
@@ -383,40 +403,47 @@ Result<Schema> PhoenixDriverManager::ProbeMetadata(Hdbc* dbc,
   return std::move(results[0].schema);
 }
 
-Result<Schema> PhoenixDriverManager::Materialize(Hdbc* dbc, ConnState* cs,
-                                                 const sql::SelectStmt& shown,
-                                                 const sql::SelectStmt& source,
-                                                 const std::string& table,
-                                                 uint64_t* cursor_id) {
+Result<odbc::CursorOpenInfo> PhoenixDriverManager::Materialize(
+    Hdbc* dbc, ConnState* cs, const sql::SelectStmt& source,
+    const std::string& table, uint64_t first_block,
+    const sql::SelectStmt* shown) {
   // Tracked before the attempt: a failure after a lost reply may still
   // leave the table behind. Retired, it is dropped by the next
   // materialization.
   cs->artifact_tables.push_back(table);
-  auto metadata = [&]() -> Result<Schema> {
+  auto opened = [&]() -> Result<odbc::CursorOpenInfo> {
     Schema shown_metadata;
     if (config_.materialize_via_server) {
       PHX_ASSIGN_OR_RETURN(shown_metadata,
-                           MaterializeOnServer(dbc, cs, shown, source, table));
+                           MaterializeOnServer(dbc, cs, source, table, shown));
     } else {
       PHX_ASSIGN_OR_RETURN(shown_metadata,
-                           MaterializeViaClient(dbc, shown, source, table));
+                           MaterializeViaClient(dbc, source, table, shown));
     }
-    PHX_RETURN_IF_ERROR(OpenCursorWithRecovery(dbc, table, 0, cursor_id));
-    return shown_metadata;
+    PHX_ASSIGN_OR_RETURN(odbc::CursorOpenInfo info,
+                         OpenCursorWithRecovery(dbc, table, first_block));
+    if (shown != nullptr) info.schema = std::move(shown_metadata);
+    return info;
   }();
-  if (!metadata.ok()) cs->retired_tables.push_back(table);
-  return metadata;
+  if (!opened.ok()) cs->retired_tables.push_back(table);
+  return opened;
 }
 
 Result<Schema> PhoenixDriverManager::MaterializeOnServer(
-    Hdbc* dbc, ConnState* cs, const sql::SelectStmt& shown,
-    const sql::SelectStmt& source, const std::string& table) {
-  PHX_ASSIGN_OR_RETURN(
-      std::vector<eng::StatementResult> results,
-      ExecTxnOnPrivate(dbc, MakeMaterializeScript(shown, source, table,
-                                                  cs->retired_tables)));
-  if (results.empty() || !results[0].has_rows) {
-    return Status::SqlError("metadata probe produced no result set");
+    Hdbc* dbc, ConnState* cs, const sql::SelectStmt& source,
+    const std::string& table, const sql::SelectStmt* shown) {
+  std::string script = MakeMaterializeScript(source, table, cs->retired_tables);
+  if (shown != nullptr) {
+    script = MakeMetadataProbe(*shown)->ToSql() + "; " + script;
+  }
+  PHX_ASSIGN_OR_RETURN(std::vector<eng::StatementResult> results,
+                       ExecTxnOnPrivate(dbc, script));
+  Schema metadata;
+  if (shown != nullptr) {
+    if (results.empty() || !results[0].has_rows) {
+      return Status::SqlError("metadata probe produced no result set");
+    }
+    metadata = std::move(results[0].schema);
   }
   // The retired tables were dropped in the same transaction.
   std::erase_if(cs->artifact_tables, [&](const std::string& t) {
@@ -424,7 +451,7 @@ Result<Schema> PhoenixDriverManager::MaterializeOnServer(
                      t) != cs->retired_tables.end();
   });
   cs->retired_tables.clear();
-  return std::move(results[0].schema);
+  return metadata;
 }
 
 Status PhoenixDriverManager::CreateFreshArtifactTable(
@@ -443,21 +470,21 @@ Status PhoenixDriverManager::CreateFreshArtifactTable(
 }
 
 Result<Schema> PhoenixDriverManager::MaterializeViaClient(
-    Hdbc* dbc, const sql::SelectStmt& shown, const sql::SelectStmt& source,
-    const std::string& table) {
-  PHX_ASSIGN_OR_RETURN(Schema metadata, ProbeMetadata(dbc, shown));
-  Schema source_metadata = metadata;
-  if (&source != &shown) {
-    PHX_ASSIGN_OR_RETURN(source_metadata, ProbeMetadata(dbc, source));
+    Hdbc* dbc, const sql::SelectStmt& source, const std::string& table,
+    const sql::SelectStmt* shown) {
+  Schema metadata;
+  if (shown != nullptr) {
+    PHX_ASSIGN_OR_RETURN(metadata, ProbeMetadata(dbc, *shown));
   }
-  PHX_RETURN_IF_ERROR(CreateFreshArtifactTable(
-      dbc, MakeCreateTableFromMetadata(table, source_metadata), table));
-  // Pull the result to the client, push it back in batches.
+  // Pull the result to the client, then push it back in batches into a
+  // table created from its metadata.
   PHX_ASSIGN_OR_RETURN(std::vector<eng::StatementResult> results,
                        ExecOnPrivate(dbc, source.ToSql()));
   if (results.empty() || !results[0].has_rows) {
     return Status::SqlError("materialization query produced no result set");
   }
+  PHX_RETURN_IF_ERROR(CreateFreshArtifactTable(
+      dbc, MakeCreateTableFromMetadata(table, results[0].schema), table));
   const std::vector<Row>& rows = results[0].rows;
   size_t i = 0;
   while (i < rows.size()) {
@@ -507,19 +534,21 @@ SqlReturn PhoenixDriverManager::ExecCursorProxy(Hstmt* stmt,
   // original query's metadata.
   std::unique_ptr<sql::SelectStmt> key_sel = MakeSelectKeys(sel, pk);
   std::string key_table = NextKeyTableName(config_, cs);
-  uint64_t cursor_id = 0;
-  auto metadata = Materialize(dbc, cs, sel, *key_sel, key_table, &cursor_id);
-  if (!metadata.ok()) return Fail(stmt, metadata.status());
+  auto opened = Materialize(dbc, cs, *key_sel, key_table, config_.fetch_block,
+                            &sel);
+  if (!opened.ok()) return Fail(stmt, opened.status());
 
   stmt->has_result = true;
-  stmt->schema = std::move(*metadata);
+  stmt->schema = std::move(opened->schema);
 
   auto vs = std::make_shared<StmtState>();
   vs->kind = dynamic ? StmtState::Kind::kDynamic : StmtState::Kind::kKeyset;
   vs->result_table = key_table;
   vs->original_select = sel.Clone();
   vs->pk_columns = std::move(pk);
-  vs->key_cursor_id = cursor_id;
+  vs->key_cursor_id = opened->cursor_id;
+  for (Row& key : opened->rows) vs->key_buffer.push_back(std::move(key));
+  vs->keys_done = opened->done;
   stmt->dm_state = std::move(vs);
   if (dynamic) {
     ++stats_.dynamic_cursors;
@@ -951,14 +980,14 @@ Result<std::vector<eng::StatementResult>> PhoenixDriverManager::ExecOnMain(
   return Status::CommError("retry budget exhausted");
 }
 
-Status PhoenixDriverManager::OpenCursorWithRecovery(Hdbc* dbc,
-                                                    const std::string& table,
-                                                    uint64_t position,
-                                                    uint64_t* cursor_id) {
+Result<odbc::CursorOpenInfo> PhoenixDriverManager::OpenCursorWithRecovery(
+    Hdbc* dbc, const std::string& table, uint64_t first_block) {
   Status last;
   for (int attempt = 0; attempt < 5; ++attempt) {
-    last = RepositionCursor(dbc, table, position, cursor_id);
-    if (last.ok() || !IsCrashSignal(last)) return last;
+    auto info = dbc->driver->OpenCursor("SELECT * FROM " + table,
+                                        eng::CursorType::kStatic, first_block);
+    if (info.ok() || !IsCrashSignal(info.status())) return info;
+    last = info.status();
     auto outcome = RecoverConnection(dbc);
     if (!outcome.ok()) return outcome.status();
   }

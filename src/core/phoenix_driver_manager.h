@@ -115,25 +115,30 @@ class PhoenixDriverManager : public odbc::DriverManager {
                                   const sql::CreateTableStmt& ct,
                                   const std::string& table);
   Result<Schema> ProbeMetadata(odbc::Hdbc* dbc, const sql::SelectStmt& sel);
-  /// Persists `source`'s rows as the fresh artifact table `table`, opens a
-  /// static cursor over it on the main connection, and returns the metadata
-  /// of `shown` (the result set the application sees).
-  Result<Schema> Materialize(odbc::Hdbc* dbc, ConnState* cs,
-                             const sql::SelectStmt& shown,
-                             const sql::SelectStmt& source,
-                             const std::string& table, uint64_t* cursor_id);
+  /// Persists `source`'s rows as the fresh artifact table `table`, then
+  /// opens a static cursor over it on the main connection that ships its
+  /// first `first_block` rows. When `shown` is set, the metadata of that
+  /// select (the result set the application sees) is probed in the same
+  /// private round trip and becomes the returned schema.
+  Result<odbc::CursorOpenInfo> Materialize(odbc::Hdbc* dbc, ConnState* cs,
+                                           const sql::SelectStmt& source,
+                                           const std::string& table,
+                                           uint64_t first_block,
+                                           const sql::SelectStmt* shown);
   /// The server path of Materialize: one MakeMaterializeScript round trip,
-  /// which also drops the connection's retired tables.
+  /// which also drops the connection's retired tables. Returns `shown`'s
+  /// metadata (empty when it is null).
   Result<Schema> MaterializeOnServer(odbc::Hdbc* dbc, ConnState* cs,
-                                     const sql::SelectStmt& shown,
                                      const sql::SelectStmt& source,
-                                     const std::string& table);
-  /// The client-copy ablation of Materialize: probe, CREATE from metadata,
-  /// then the rows pulled to the client and pushed back in INSERT batches.
+                                     const std::string& table,
+                                     const sql::SelectStmt* shown);
+  /// The client-copy ablation of Materialize: the rows pulled to the
+  /// client, CREATE from their metadata, then pushed back in INSERT
+  /// batches.
   Result<Schema> MaterializeViaClient(odbc::Hdbc* dbc,
-                                      const sql::SelectStmt& shown,
                                       const sql::SelectStmt& source,
-                                      const std::string& table);
+                                      const std::string& table,
+                                      const sql::SelectStmt* shown);
   /// Pulls the next key of a keyset/dynamic proxy. Returns false at end.
   Result<bool> NextKey(odbc::Hstmt* stmt, ConnState* cs, StmtState* vs,
                        Row* key);
@@ -153,10 +158,12 @@ class PhoenixDriverManager : public odbc::DriverManager {
   Status ReinstallSqlState(odbc::Hdbc* dbc, ConnState* cs);
   Status RepositionCursor(odbc::Hdbc* dbc, const std::string& table,
                           uint64_t position, uint64_t* cursor_id);
-  /// RepositionCursor with crash-signal recovery + retry (used on the
-  /// initial open; recovery itself uses the raw version).
-  Status OpenCursorWithRecovery(odbc::Hdbc* dbc, const std::string& table,
-                                uint64_t position, uint64_t* cursor_id);
+  /// The initial open of a cursor over a Phoenix table, shipping its first
+  /// `first_block` rows, with crash-signal recovery + retry (recovery
+  /// itself re-opens through RepositionCursor).
+  Result<odbc::CursorOpenInfo> OpenCursorWithRecovery(odbc::Hdbc* dbc,
+                                                      const std::string& table,
+                                                      uint64_t first_block);
 
   PhoenixConfig config_;
   PhoenixStats stats_;

@@ -320,7 +320,7 @@ Status PhoenixDriverManager::RepositionCursor(Hdbc* dbc,
   PHX_ASSIGN_OR_RETURN(
       odbc::CursorOpenInfo info,
       dbc->driver->OpenCursor("SELECT * FROM " + table,
-                              eng::CursorType::kStatic));
+                              eng::CursorType::kStatic, /*first_block=*/0));
   *cursor_id = info.cursor_id;
   if (position == 0) return Status::Ok();
   if (config_.server_side_reposition) {

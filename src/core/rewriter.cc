@@ -1,6 +1,8 @@
 #include "core/rewriter.h"
 
+#include <algorithm>
 #include <cctype>
+#include <cstdint>
 
 namespace phoenix::core {
 
@@ -24,6 +26,16 @@ std::unique_ptr<SelectStmt> MakeMetadataProbe(const SelectStmt& sel) {
   probe->order_by.clear();
   probe->limit = -1;
   probe->into_table.clear();
+  return probe;
+}
+
+std::unique_ptr<SelectStmt> MakeFirstBlockProbe(const SelectStmt& sel,
+                                                uint64_t block_size) {
+  auto probe = sel.Clone();
+  constexpr uint64_t kMaxLimit = INT64_MAX;
+  int64_t cap = static_cast<int64_t>(
+      block_size >= kMaxLimit ? kMaxLimit : block_size + 1);
+  probe->limit = sel.limit >= 0 ? std::min(sel.limit, cap) : cap;
   return probe;
 }
 
@@ -61,11 +73,10 @@ sql::CreateTableStmt MakeCreateTableFromMetadata(const std::string& table,
   return ct;
 }
 
-std::string MakeMaterializeScript(const SelectStmt& shown,
-                                  const SelectStmt& source,
+std::string MakeMaterializeScript(const SelectStmt& source,
                                   const std::string& table,
                                   const std::vector<std::string>& retired) {
-  std::string sql = MakeMetadataProbe(shown)->ToSql() + "; BEGIN TRANSACTION; ";
+  std::string sql = "BEGIN TRANSACTION; ";
   for (const std::string& t : retired) {
     sql += "DROP TABLE IF EXISTS " + t + "; ";
   }

@@ -18,7 +18,15 @@ namespace phoenix::core {
 
 /// The `WHERE 0=1` metadata probe: same select, guaranteed-empty result,
 /// compile-only server work. ORDER BY/LIMIT are stripped (metadata-neutral).
+/// Keyset/dynamic proxies and the client-copy ablation use it.
 std::unique_ptr<sql::SelectStmt> MakeMetadataProbe(const sql::SelectStmt& sel);
+
+/// The first-block probe of a materialized read: the application's own
+/// query with its LIMIT capped at `block_size + 1` rows (min with its own
+/// LIMIT). At most `block_size` rows back means the reply holds the whole
+/// result; `block_size + 1` means it overflows one block.
+std::unique_ptr<sql::SelectStmt> MakeFirstBlockProbe(const sql::SelectStmt& sel,
+                                                     uint64_t block_size);
 
 /// CREATE TABLE <name> (...) from result-set metadata, for the client-copy
 /// ablation (PhoenixConfig::materialize_via_server = false). Column names
@@ -29,16 +37,12 @@ sql::CreateTableStmt MakeCreateTableFromMetadata(const std::string& table,
 
 /// The materialization script — one private-connection round trip, one
 /// commit:
-///   <WHERE 0=1 probe of shown>; BEGIN TRANSACTION;
-///   DROP TABLE IF EXISTS <retired>...; DROP TABLE IF EXISTS <table>;
-///   SELECT <source> INTO <table>; COMMIT
-/// Its first result is the probe's empty result set, whose schema is the
-/// metadata the application sees. Data never leaves the server (the role of
-/// the paper's stored procedure P), and re-sending the whole script after a
-/// lost reply or a crash is safe: the DROPs make the SELECT INTO start
-/// clean.
-std::string MakeMaterializeScript(const sql::SelectStmt& shown,
-                                  const sql::SelectStmt& source,
+///   BEGIN TRANSACTION; DROP TABLE IF EXISTS <retired>...;
+///   DROP TABLE IF EXISTS <table>; SELECT <source> INTO <table>; COMMIT
+/// Data never leaves the server (the role of the paper's stored procedure
+/// P), and re-sending the whole script after a lost reply or a crash is
+/// safe: the DROPs make the SELECT INTO start clean.
+std::string MakeMaterializeScript(const sql::SelectStmt& source,
                                   const std::string& table,
                                   const std::vector<std::string>& retired);
 

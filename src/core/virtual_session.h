@@ -132,6 +132,10 @@ struct PhoenixStats {
   /// Recovery passes restarted because the server crashed again while a
   /// recovery was in progress (re-crash during recovery).
   uint64_t recovery_recrashes = 0;
+  /// SELECTs whose whole result fit one fetch block and came back in the
+  /// probe's reply: no result table, no commit.
+  uint64_t whole_results = 0;
+  /// SELECTs persisted as a result table (larger than one fetch block).
   uint64_t materialized_results = 0;
   uint64_t keyset_cursors = 0;
   uint64_t dynamic_cursors = 0;

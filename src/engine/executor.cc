@@ -1,6 +1,7 @@
 #include "engine/executor.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <unordered_map>
 
@@ -320,6 +321,18 @@ bool Executor::ProbeAccessPath(const storage::Table& t, const AccessPath& path,
   return true;
 }
 
+namespace {
+
+bool IsAggregate(const SelectStmt& sel) {
+  if (!sel.group_by.empty() || sel.having != nullptr) return true;
+  for (const SelectItem& item : sel.items) {
+    if (item.expr->ContainsAggregate()) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 Result<BoundRows> Executor::EvaluateFrom(const SelectStmt& sel) {
   BoundRows out;
   if (sel.from.empty()) {
@@ -402,6 +415,15 @@ Result<BoundRows> Executor::EvaluateFrom(const SelectStmt& sel) {
     return (snapshot_ != nullptr && !t->MvccQuiescent()) ? snapshot_ : nullptr;
   };
 
+  // A LIMIT the scan can honor by itself: one table, and no later stage
+  // that needs the rows past it (aggregation, DISTINCT). An ORDER BY must
+  // also be satisfied by the scan's own enumeration order (checked below).
+  // The rows it skips are exactly those SortAndTrim would drop.
+  const size_t row_cap = tables.size() == 1 && sel.limit >= 0 &&
+                                 !sel.distinct && !IsAggregate(sel)
+                             ? static_cast<size_t>(sel.limit)
+                             : SIZE_MAX;
+
   // Helper: scan one table into a BoundRows, applying all still-unused
   // conjuncts that are resolvable against it alone. Pool filtering must be
   // skipped for the right side of a LEFT join (WHERE applies after the
@@ -424,6 +446,11 @@ Result<BoundRows> Executor::EvaluateFrom(const SelectStmt& sel) {
         }
       }
     }
+    // Every conjunct filters in this scan, so each kept row is final.
+    const bool all_filtered =
+        static_cast<size_t>(std::count(used.begin(), used.end(), true)) +
+            applicable.size() ==
+        conjuncts.size();
     auto keep_row = [&](const Row& row) -> Result<bool> {
       EvalEnv env = MakeEnv(&r.schema, &r.qualifiers, &row);
       for (size_t ci : applicable) {
@@ -446,7 +473,10 @@ Result<BoundRows> Executor::EvaluateFrom(const SelectStmt& sel) {
             std::reverse(rids.begin(), rids.end());
           }
         }
+        const bool capped = all_filtered && (sel.order_by.empty() ||
+                                             (key_order && snap == nullptr));
         for (storage::RowId rid : rids) {
+          if (capped && r.rows.size() >= row_cap) break;
           const Row* row;
           if (snap != nullptr) {
             // A miss is not corruption here: the rid's versions are simply
@@ -471,10 +501,12 @@ Result<BoundRows> Executor::EvaluateFrom(const SelectStmt& sel) {
     }
     if (!used_index) {
       const storage::MvccSnapshot* snap = snap_for(b.table);
+      const bool capped = all_filtered && sel.order_by.empty();
       if (snap != nullptr) {
         std::vector<std::pair<storage::RowId, const Row*>> visible;
         b.table->MvccScanVisible(*snap, &visible);
         for (const auto& [rid, row] : visible) {
+          if (capped && r.rows.size() >= row_cap) break;
           PHX_ASSIGN_OR_RETURN(bool keep, keep_row(*row));
           if (keep) {
             r.rows.push_back(*row);
@@ -483,6 +515,7 @@ Result<BoundRows> Executor::EvaluateFrom(const SelectStmt& sel) {
         }
       } else {
         for (const auto& [rid, row] : b.table->rows()) {
+          if (capped && r.rows.size() >= row_cap) break;
           PHX_ASSIGN_OR_RETURN(bool keep, keep_row(row));
           if (keep) {
             r.rows.push_back(row);
@@ -916,11 +949,7 @@ Result<StatementResult> Executor::ExecuteSelect(const SelectStmt& sel) {
 
 Result<StatementResult> Executor::FinishSelect(const SelectStmt& sel,
                                                BoundRows input) {
-  bool has_agg = !sel.group_by.empty();
-  for (const SelectItem& item : sel.items) {
-    if (item.expr->ContainsAggregate()) has_agg = true;
-  }
-  if (sel.having != nullptr) has_agg = true;
+  bool has_agg = IsAggregate(sel);
 
   StatementResult result;
   if (has_agg) {

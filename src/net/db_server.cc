@@ -252,6 +252,17 @@ Response DbServer::Dispatch(const Request& req) {
       r.cursor_id = res.value()->id();
       r.schema = res.value()->schema();
       r.cursor_size = res.value()->known_size();
+      if (req.n > 0) {
+        // The first block rides on the open: a result of one block needs
+        // no kFetch at all.
+        auto rows = db->FetchCursor(req.session_id, r.cursor_id,
+                                    static_cast<size_t>(req.n), &r.done);
+        if (!rows.ok()) {
+          (void)db->CloseCursor(req.session_id, r.cursor_id);
+          return Response::MakeError(rows.status());
+        }
+        r.rows = std::move(rows.value());
+      }
       return r;
     }
     case Request::Kind::kFetch: {

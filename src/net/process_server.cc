@@ -312,8 +312,10 @@ void ProcessServerHandle::ArmKillOnRendezvous() {
           if (pid_ > 0 && !reaped_) pid = pid_;
         }
         if (pid > 0) {
-          ::kill(pid, SIGKILL);
+          // Counted before the signal: a waiter that sees the child gone
+          // (WaitRendezvousKill) must also see the kill that did it.
           rendezvous_kills_.fetch_add(1);
+          ::kill(pid, SIGKILL);
         }
         return;
       }

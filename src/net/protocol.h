@@ -20,7 +20,8 @@ struct Request {
     kDisconnect = 1,  ///< graceful session termination
     kSetOption = 2,   ///< name/value connection option
     kExecScript = 3,  ///< SQL batch; all results shipped (default result set)
-    kOpenCursor = 4,  ///< SELECT + cursor_type → kCursorOpened
+    kOpenCursor = 4,  ///< SELECT + cursor_type + n → kCursorOpened with
+                      ///< the cursor's first n rows
     kFetch = 5,       ///< cursor_id + n → kRows
     kSeek = 6,        ///< cursor_id + n(position) → kOk (server-side advance)
     kCloseCursor = 7,
@@ -43,7 +44,9 @@ struct Request {
   std::string sql;       ///< kExecScript / kOpenCursor
   uint8_t cursor_type = 0;
   uint64_t cursor_id = 0;
-  uint64_t n = 0;        ///< fetch count or seek position
+  /// kFetch: rows to fetch; kOpenCursor: rows to ship with the open (0 =
+  /// none); kSeek: the position.
+  uint64_t n = 0;
 
   std::string Encode() const;
   static Result<Request> Decode(const std::string& bytes);
@@ -70,8 +73,8 @@ struct Response {
   uint64_t cursor_id = 0;                     ///< kCursorOpened
   Schema schema;                              ///< kCursorOpened
   uint64_t cursor_size = 0;                   ///< kCursorOpened (0=unknown)
-  std::vector<Row> rows;                      ///< kRows
-  bool done = false;                          ///< kRows
+  std::vector<Row> rows;                      ///< kRows / kCursorOpened
+  bool done = false;                          ///< kRows / kCursorOpened
   uint64_t server_epoch = 0;                  ///< kPong: restarts so far
 
   static Response MakeError(const Status& s);

@@ -51,18 +51,22 @@ Result<std::vector<eng::StatementResult>> DriverConnection::ExecScript(
 }
 
 Result<CursorOpenInfo> DriverConnection::OpenCursor(
-    const std::string& select_sql, eng::CursorType type) {
+    const std::string& select_sql, eng::CursorType type,
+    uint64_t first_block) {
   Request req;
   req.kind = Request::Kind::kOpenCursor;
   req.session_id = session_id_;
   req.sql = select_sql;
   req.cursor_type = static_cast<uint8_t>(type);
+  req.n = first_block;
   PHX_ASSIGN_OR_RETURN(Response resp,
                        Call(req, Response::Kind::kCursorOpened));
   CursorOpenInfo info;
   info.cursor_id = resp.cursor_id;
   info.schema = std::move(resp.schema);
   info.known_size = resp.cursor_size;
+  info.rows = std::move(resp.rows);
+  info.done = resp.done;
   return info;
 }
 

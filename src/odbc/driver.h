@@ -19,6 +19,8 @@ struct CursorOpenInfo {
   uint64_t cursor_id = 0;
   Schema schema;
   uint64_t known_size = 0;  ///< 0 when unknown (dynamic)
+  std::vector<Row> rows;    ///< the first block, shipped with the open
+  bool done = false;        ///< `rows` reached the end of the result
 };
 
 struct FetchResult {
@@ -42,8 +44,11 @@ class DriverConnection {
   /// (the "default result set" behavior — client buffers).
   Result<std::vector<eng::StatementResult>> ExecScript(const std::string& sql);
 
+  /// Opens a server cursor; its first `first_block` rows come back in the
+  /// same round trip (0 = none, the cursor stays at row 0).
   Result<CursorOpenInfo> OpenCursor(const std::string& select_sql,
-                                    eng::CursorType type);
+                                    eng::CursorType type,
+                                    uint64_t first_block);
   Result<FetchResult> Fetch(uint64_t cursor_id, uint64_t n);
   /// Server-side absolute positioning — zero tuples cross the wire.
   Status Seek(uint64_t cursor_id, uint64_t position);

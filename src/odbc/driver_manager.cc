@@ -134,6 +134,15 @@ void DriverManager::InstallResult(Hstmt* stmt, eng::StatementResult result) {
   stmt->rows_delivered = 0;
 }
 
+void DriverManager::InstallOpenedCursor(Hstmt* stmt, CursorOpenInfo info) {
+  stmt->has_result = true;
+  stmt->schema = std::move(info.schema);
+  stmt->server_cursor_id = info.cursor_id;
+  stmt->buffered = std::move(info.rows);
+  stmt->buffer_pos = 0;
+  stmt->server_done = info.done;
+}
+
 SqlReturn DriverManager::ExecDirect(Hstmt* stmt, const std::string& sql) {
   Hdbc* dbc = stmt->dbc;
   if (!dbc->connected) {
@@ -161,11 +170,9 @@ SqlReturn DriverManager::ExecDirect(Hstmt* stmt, const std::string& sql) {
     case CursorMode::kKeysetCursor: type = eng::CursorType::kKeyset; break;
     default: type = eng::CursorType::kDynamic; break;
   }
-  auto info = dbc->driver->OpenCursor(sql, type);
+  auto info = dbc->driver->OpenCursor(sql, type, stmt->block_size);
   if (!info.ok()) return Fail(stmt, info.status());
-  stmt->has_result = true;
-  stmt->schema = std::move(info->schema);
-  stmt->server_cursor_id = info->cursor_id;
+  InstallOpenedCursor(stmt, std::move(info.value()));
   return SqlReturn::kSuccess;
 }
 

@@ -78,6 +78,8 @@ class DriverManager {
   static void ResetResultState(Hstmt* stmt);
   /// Installs one StatementResult as the statement's active result.
   static void InstallResult(Hstmt* stmt, eng::StatementResult result);
+  /// Installs a just-opened server cursor, its first block buffered.
+  static void InstallOpenedCursor(Hstmt* stmt, CursorOpenInfo info);
   /// Refills the client-side block buffer from the statement's server
   /// cursor. Sets stmt->server_done at end.
   SqlReturn FetchBlock(Hstmt* stmt);

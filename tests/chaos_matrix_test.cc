@@ -73,11 +73,33 @@ bool ProcessChaosAvailable(std::string* why) {
   return true;
 }
 
+/// Read-path coverage summed over a block's seeds. Every block must keep
+/// exercising both read paths — whole-result reads and results
+/// materialized as a server table — and recovery's re-installation of a
+/// half-delivered materialized cursor.
+struct ReadPathCoverage {
+  uint64_t materialized = 0;
+  uint64_t whole = 0;
+  uint64_t reinstalls = 0;
+
+  void Add(const ChaosReport& r) {
+    materialized += r.materialized_results;
+    whole += r.whole_results;
+    reinstalls += r.state_reinstalls;
+  }
+  void Check() const {
+    EXPECT_GT(materialized, 0u) << "no read was ever materialized";
+    EXPECT_GT(whole, 0u) << "no read ever came back whole";
+    EXPECT_GT(reinstalls, 0u) << "recovery never re-installed a cursor";
+  }
+};
+
 TEST(ChaosMatrix, TornTailSchedules) {
   // Torn last records: byte-granular truncation plus corruption of the
   // unsynced tail, independent per file.
   uint64_t tears_seen = 0;
   uint64_t recoveries = 0;
+  ReadPathCoverage coverage;
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     ChaosOptions opts;
     opts.seed = 7000 + seed;
@@ -89,11 +111,13 @@ TEST(ChaosMatrix, TornTailSchedules) {
     opts.allow_dropped_request = false;
     // leaves torn + partial-flush
     ChaosReport r = RunAndCheck(opts);
+    coverage.Add(r);
     tears_seen += r.wal_tear_detected ? 1 : 0;
     recoveries += r.recoveries;
   }
   EXPECT_GT(recoveries, 0u) << "no schedule ever exercised recovery";
   EXPECT_GT(tears_seen, 0u) << "no schedule ever produced a torn WAL tail";
+  coverage.Check();
 }
 
 TEST(ChaosMatrix, MidCheckpointSchedules) {
@@ -102,6 +126,7 @@ TEST(ChaosMatrix, MidCheckpointSchedules) {
   // double-applying them (or refusing to start).
   uint64_t images = 0;
   uint64_t skipped = 0;
+  ReadPathCoverage coverage;
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     ChaosOptions opts;
     opts.seed = 8000 + seed;
@@ -114,12 +139,14 @@ TEST(ChaosMatrix, MidCheckpointSchedules) {
     opts.allow_dropped_request = false;
     // leaves mid-checkpoint + plain crash
     ChaosReport r = RunAndCheck(opts);
+    coverage.Add(r);
     images += r.mid_ckpt_images;
     skipped += r.wal_records_skipped;
   }
   EXPECT_GT(images, 0u) << "no schedule ever died mid-checkpoint";
   EXPECT_GT(skipped, 0u)
       << "no recovery ever skipped a checkpoint-subsumed WAL record";
+  coverage.Check();
 }
 
 TEST(ChaosMatrix, ConcurrentCheckpointSchedules) {
@@ -132,6 +159,7 @@ TEST(ChaosMatrix, ConcurrentCheckpointSchedules) {
   uint64_t images = 0;
   uint64_t skipped = 0;
   uint64_t recoveries = 0;
+  ReadPathCoverage coverage;
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     ChaosOptions opts;
     opts.seed = 12000 + seed;
@@ -145,6 +173,7 @@ TEST(ChaosMatrix, ConcurrentCheckpointSchedules) {
     opts.allow_dropped_request = false;
     // leaves mid-checkpoint + plain crash
     ChaosReport r = RunAndCheck(opts);
+    coverage.Add(r);
     images += r.mid_ckpt_images;
     skipped += r.wal_records_skipped;
     recoveries += r.recoveries;
@@ -153,6 +182,7 @@ TEST(ChaosMatrix, ConcurrentCheckpointSchedules) {
   EXPECT_GT(images, 0u) << "no schedule ever wrote an image before dying";
   EXPECT_GT(skipped, 0u)
       << "no recovery ever skipped a fence-subsumed WAL record";
+  coverage.Check();
 }
 
 TEST(ChaosMatrix, RecrashDuringRecoverySchedules) {
@@ -160,6 +190,7 @@ TEST(ChaosMatrix, RecrashDuringRecoverySchedules) {
   // after the virtual-session remap); the recovery driver must restart the
   // pass, not surface the mid-recovery crash to the application.
   uint64_t recrashes = 0;
+  ReadPathCoverage coverage;
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     ChaosOptions opts;
     opts.seed = 9000 + seed;
@@ -172,10 +203,12 @@ TEST(ChaosMatrix, RecrashDuringRecoverySchedules) {
     opts.allow_dropped_request = false;
     // leaves recovery-crash only
     ChaosReport r = RunAndCheck(opts);
+    coverage.Add(r);
     recrashes += r.recovery_recrashes;
   }
   EXPECT_GT(recrashes, 0u)
       << "no schedule ever re-crashed inside a recovery pass";
+  coverage.Check();
 }
 
 TEST(ChaosMatrix, MixedFaultSchedules) {
@@ -184,6 +217,7 @@ TEST(ChaosMatrix, MixedFaultSchedules) {
   // Odd seeds run the client-side reposition ablation so both strategies
   // stay under fault pressure.
   uint64_t lost = 0;
+  ReadPathCoverage coverage;
   for (uint64_t seed = 1; seed <= 60; ++seed) {
     ChaosOptions opts;
     opts.seed = 10000 + seed;
@@ -192,9 +226,11 @@ TEST(ChaosMatrix, MixedFaultSchedules) {
     opts.checkpoint_every_n_commits = (seed % 3 == 0) ? 6 : 0;
     opts.server_side_reposition = (seed % 2 == 0);
     ChaosReport r = RunAndCheck(opts);
+    coverage.Add(r);
     lost += r.lost_replies_recovered;
   }
   EXPECT_GT(lost, 0u) << "no schedule ever recovered a lost reply";
+  coverage.Check();
 }
 
 TEST(ChaosMatrix, GroupCommitSchedules) {
@@ -204,6 +240,7 @@ TEST(ChaosMatrix, GroupCommitSchedules) {
   // invariant (no acked commit ever lost, no unacked commit ever claimed)
   // is exactly the ack-after-fsync contract under test.
   uint64_t recoveries = 0;
+  ReadPathCoverage coverage;
   for (uint64_t seed = 1; seed <= 40; ++seed) {
     ChaosOptions opts;
     opts.seed = 11000 + seed;
@@ -211,10 +248,12 @@ TEST(ChaosMatrix, GroupCommitSchedules) {
     opts.n_faults = 4;
     opts.checkpoint_every_n_commits = (seed % 4 == 0) ? 6 : 0;
     ChaosReport r = RunAndCheck(opts);
+    coverage.Add(r);
     recoveries += r.recoveries;
   }
   EXPECT_GT(recoveries, 0u)
       << "no group-commit schedule ever exercised recovery";
+  coverage.Check();
 }
 
 TEST(ChaosMatrix, IndexDdlCrashSchedules) {
@@ -226,6 +265,7 @@ TEST(ChaosMatrix, IndexDdlCrashSchedules) {
   // server's store and an independent storage-level recovery: every index's
   // entry tree must equal the tree rebuilt from its base rows.
   uint64_t recoveries = 0;
+  ReadPathCoverage coverage;
   for (uint64_t seed = 1; seed <= 25; ++seed) {
     ChaosOptions opts;
     opts.seed = 13000 + seed;
@@ -236,10 +276,12 @@ TEST(ChaosMatrix, IndexDdlCrashSchedules) {
     // leaves crash + partial-flush + torn + mid-checkpoint + recovery-crash
     opts.checkpoint_every_n_commits = (seed % 3 == 0) ? 5 : 0;
     ChaosReport r = RunAndCheck(opts);
+    coverage.Add(r);
     recoveries += r.recoveries;
   }
   EXPECT_GT(recoveries, 0u)
       << "no index-DDL schedule ever exercised recovery";
+  coverage.Check();
 }
 
 TEST(ChaosMatrix, IndexReplaySchedules) {
@@ -250,6 +292,7 @@ TEST(ChaosMatrix, IndexReplaySchedules) {
   // pass must not leave a divergent index after the second. The
   // index-consistency audit is the detector.
   uint64_t recrashes = 0;
+  ReadPathCoverage coverage;
   for (uint64_t seed = 1; seed <= 25; ++seed) {
     ChaosOptions opts;
     opts.seed = 14000 + seed;
@@ -262,10 +305,12 @@ TEST(ChaosMatrix, IndexReplaySchedules) {
     // leaves crash + mid-checkpoint + recovery-crash
     opts.checkpoint_every_n_commits = 4;
     ChaosReport r = RunAndCheck(opts);
+    coverage.Add(r);
     recrashes += r.recovery_recrashes;
   }
   EXPECT_GT(recrashes, 0u)
       << "no index-replay schedule ever re-crashed inside recovery";
+  coverage.Check();
 }
 
 TEST(ChaosMatrix, ProcessKillSchedules) {
@@ -283,6 +328,7 @@ TEST(ChaosMatrix, ProcessKillSchedules) {
   uint64_t sigkills = 0;
   uint64_t rendezvous_kills = 0;
   uint64_t recoveries = 0;
+  ReadPathCoverage coverage;
   for (uint64_t seed = 1; seed <= 25; ++seed) {
     ChaosOptions opts;
     opts.seed = 15000 + seed;
@@ -292,6 +338,7 @@ TEST(ChaosMatrix, ProcessKillSchedules) {
     // rendezvous points actually exist in the child.
     opts.checkpoint_every_n_commits = (seed % 2 == 0) ? 4 : 0;
     ChaosReport r = RunAndCheck(opts);
+    coverage.Add(r);
     sigkills += r.sigkills;
     rendezvous_kills += r.rendezvous_kills;
     recoveries += r.recoveries;
@@ -301,6 +348,7 @@ TEST(ChaosMatrix, ProcessKillSchedules) {
       << "no schedule ever died inside a rendezvous window (mid-fsync / "
          "mid-checkpoint / pre-dispatch)";
   EXPECT_GT(recoveries, 0u) << "no schedule ever exercised recovery";
+  coverage.Check();
 }
 
 TEST(ChaosMatrix, FailoverSchedules) {
@@ -317,6 +365,7 @@ TEST(ChaosMatrix, FailoverSchedules) {
   uint64_t sigkills = 0;
   uint64_t failovers = 0;
   uint64_t recoveries = 0;
+  ReadPathCoverage coverage;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     ChaosOptions opts;
     opts.seed = 18000 + seed;
@@ -331,6 +380,7 @@ TEST(ChaosMatrix, FailoverSchedules) {
     opts.allow_mid_checkpoint = false;
     opts.allow_recovery_crash = false;
     ChaosReport r = RunAndCheck(opts);
+    coverage.Add(r);
     sigkills += r.sigkills;
     failovers += r.failovers;
     recoveries += r.recoveries;
@@ -339,6 +389,7 @@ TEST(ChaosMatrix, FailoverSchedules) {
   EXPECT_GT(recoveries, 0u) << "no schedule ever exercised recovery";
   EXPECT_GT(failovers, 0u)
       << "no schedule ever migrated the session to the other server";
+  coverage.Check();
 }
 
 TEST(ChaosMatrix, RecoveryReplayKillSchedules) {
@@ -354,6 +405,7 @@ TEST(ChaosMatrix, RecoveryReplayKillSchedules) {
   uint64_t replay_kills = 0;
   uint64_t sigkills = 0;
   uint64_t recoveries = 0;
+  ReadPathCoverage coverage;
   for (uint64_t seed = 1; seed <= 12; ++seed) {
     ChaosOptions opts;
     opts.seed = 16000 + seed;
@@ -371,6 +423,7 @@ TEST(ChaosMatrix, RecoveryReplayKillSchedules) {
     opts.allow_lost_reply = false;
     opts.allow_dropped_request = false;
     ChaosReport r = RunAndCheck(opts);
+    coverage.Add(r);
     replay_kills += r.replay_kills;
     sigkills += r.sigkills;
     recoveries += r.recoveries;
@@ -380,6 +433,7 @@ TEST(ChaosMatrix, RecoveryReplayKillSchedules) {
       << "no schedule ever died mid-parallel-replay (the armed recovery "
          "rendezvous never fired)";
   EXPECT_GT(recoveries, 0u) << "no schedule ever exercised recovery";
+  coverage.Check();
 }
 
 TEST(ChaosMatrix, RecoveryEquivalenceMatrix) {
@@ -391,6 +445,7 @@ TEST(ChaosMatrix, RecoveryEquivalenceMatrix) {
   // repair the torn tail in place, so the WAL bytes are restored between
   // the passes.
   uint64_t compared = 0;
+  ReadPathCoverage coverage;
   for (uint64_t seed = 1; seed <= 20; ++seed) {
     ChaosOptions opts;
     opts.seed = 7000 + seed;  // reuse the torn-tail block's plans
@@ -445,9 +500,10 @@ TEST(ChaosMatrix, RecoveryEquivalenceMatrix) {
       EXPECT_EQ(info4.replay_threads, 4u);
       ++compared;
     };
-    RunAndCheck(opts);
+    coverage.Add(RunAndCheck(opts));
   }
   EXPECT_GT(compared, 0u) << "the equivalence audit never ran";
+  coverage.Check();
 }
 
 TEST(ChaosMatrix, MvccVisibilitySchedules) {

@@ -53,8 +53,10 @@ TEST(EndToEnd, PhoenixTransparentWithoutFailures) {
     MustExec(&dm, dbc, "INSERT INTO T VALUES (" + std::to_string(i) + ", " +
                            std::to_string(i * 1.5) + ")");
   }
+  // Five rows in blocks of two: delivered from a materialized result table.
   std::vector<Row> rows = MustQuery(
-      &dm, dbc, "SELECT ID, V FROM T WHERE ID <= 5 ORDER BY ID DESC");
+      &dm, dbc, "SELECT ID, V FROM T WHERE ID <= 5 ORDER BY ID DESC",
+      /*block_size=*/2);
   ASSERT_EQ(rows.size(), 5u);
   EXPECT_EQ(rows[0][0].AsInt64(), 5);
   EXPECT_DOUBLE_EQ(rows[0][1].AsDouble(), 7.5);

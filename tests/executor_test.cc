@@ -110,6 +110,61 @@ TEST_F(ExecutorTest, LimitAndDistinct) {
   EXPECT_EQ(Exec("SELECT NAME FROM EMP LIMIT 0").rows.size(), 0u);
 }
 
+TEST_F(ExecutorTest, LimitStopsTheScanOnlyWhereNoLaterStageNeedsTheRest) {
+  Exec("CREATE TABLE N (K INTEGER PRIMARY KEY, V INTEGER)");
+  std::string values;
+  for (int k = 1; k <= 100; ++k) {
+    if (k > 1) values += ", ";
+    values += "(" + std::to_string(k) + ", " + std::to_string((k * 37) % 11) +
+              ")";
+  }
+  Exec("INSERT INTO N VALUES " + values);
+  // Every LIMIT returns the first rows of the same query without it.
+  const std::pair<const char*, int> kCases[] = {
+      {"SELECT K, V FROM N", 5},
+      {"SELECT K, V FROM N WHERE K >= 40 ORDER BY K", 5},
+      {"SELECT K, V FROM N WHERE K >= 40 ORDER BY K DESC", 5},
+      {"SELECT K, V FROM N WHERE V > 3", 4},
+      {"SELECT K, V FROM N ORDER BY V, K", 6},
+      {"SELECT DISTINCT V FROM N", 3},
+      {"SELECT V, COUNT(*) AS C FROM N GROUP BY V ORDER BY V", 2},
+  };
+  auto check_prefixes = [&] {
+    for (const auto& [sql, n] : kCases) {
+      StatementResult all = Exec(sql);
+      StatementResult some = Exec(std::string(sql) + " LIMIT " +
+                                  std::to_string(n));
+      ASSERT_EQ(some.rows.size(), static_cast<size_t>(n)) << sql;
+      for (int i = 0; i < n; ++i) {
+        for (size_t c = 0; c < all.rows[i].size(); ++c) {
+          EXPECT_EQ(some.rows[i][c].Compare(all.rows[i][c]), 0)
+              << sql << " row " << i;
+        }
+      }
+    }
+  };
+  check_prefixes();
+  // Again while another session holds a pending write, so reads resolve
+  // through the version chains.
+  auto other = db_->CreateSession("writer");
+  ASSERT_TRUE(other.ok());
+  ASSERT_TRUE(db_->ExecuteScript(*other, "BEGIN TRANSACTION; "
+                                         "UPDATE N SET V = 99 WHERE K = 42")
+                  .ok());
+  check_prefixes();
+  ASSERT_TRUE(db_->ExecuteScript(*other, "ROLLBACK").ok());
+
+  // Rows past the LIMIT of a scan in final order are never evaluated...
+  StatementResult early =
+      Exec("SELECT K, 10 / (K - 50) AS Q FROM N WHERE K >= 40 ORDER BY K "
+           "LIMIT 5");
+  ASSERT_EQ(early.rows.size(), 5u);
+  EXPECT_EQ(early.rows[4][0].AsInt64(), 44);
+  // ...but a sort needs every row, so its projection still meets K = 50.
+  EXPECT_FALSE(
+      TryExec("SELECT K, 10 / (K - 50) AS Q FROM N ORDER BY V LIMIT 5").ok());
+}
+
 TEST_F(ExecutorTest, Aggregates) {
   MakeSample();
   StatementResult r = Exec(

@@ -160,6 +160,36 @@ TEST_F(OdbcTest, ServerCursorModesDeliverSameRows) {
   }
 }
 
+TEST_F(OdbcTest, StaticCursorShipsItsFirstBlockWithTheOpen) {
+  Hstmt* stmt = dm_->AllocStmt(dbc_);
+  ASSERT_EQ(dm_->SetStmtAttr(stmt, StmtAttr::kCursorMode,
+                             static_cast<int64_t>(CursorMode::kStaticCursor)),
+            SqlReturn::kSuccess);
+  ASSERT_EQ(dm_->SetStmtAttr(stmt, StmtAttr::kBlockSize, 3),
+            SqlReturn::kSuccess);
+  auto rts = [&] { return dbc_->driver->channel()->stats().round_trips; };
+  uint64_t rts0 = rts();
+  ASSERT_EQ(dm_->ExecDirect(stmt, "SELECT K FROM T ORDER BY K"),
+            SqlReturn::kSuccess);
+  EXPECT_EQ(rts() - rts0, 1u);
+  std::vector<int64_t> keys;
+  auto fetch = [&] {
+    ASSERT_EQ(dm_->Fetch(stmt), SqlReturn::kSuccess);
+    Value v;
+    dm_->GetData(stmt, 0, &v);
+    keys.push_back(v.AsInt64());
+  };
+  // Rows 1-3 came with the open: no fetch request yet.
+  for (int i = 0; i < 3; ++i) fetch();
+  EXPECT_EQ(rts() - rts0, 1u);
+  // Row 4 takes one fetch, which also reports the end.
+  fetch();
+  EXPECT_EQ(dm_->Fetch(stmt), SqlReturn::kNoData);
+  EXPECT_EQ(rts() - rts0, 2u);
+  EXPECT_EQ(keys, (std::vector<int64_t>{1, 2, 3, 4}));
+  dm_->FreeStmt(stmt);
+}
+
 TEST_F(OdbcTest, BadStmtAttrRejected) {
   Hstmt* stmt = dm_->AllocStmt(dbc_);
   EXPECT_EQ(dm_->SetStmtAttr(stmt, StmtAttr::kCursorMode, 99),

@@ -55,7 +55,8 @@ TEST_F(OrphanGcTest, DropsArtifactsOfDeadClients) {
   ASSERT_EQ(dm_->Connect(dbc, "testdb", "doomed"), SqlReturn::kSuccess);
   MustExec(dm_.get(), dbc, "CREATE TABLE BASE (K INTEGER PRIMARY KEY)");
   MustExec(dm_.get(), dbc, "INSERT INTO BASE VALUES (1), (2)");
-  MustQuery(dm_.get(), dbc, "SELECT * FROM BASE");  // result table artifact
+  // Two rows in blocks of one: the read leaves a result table artifact.
+  MustQuery(dm_.get(), dbc, "SELECT * FROM BASE", /*block_size=*/1);
   MustExec(dm_.get(), dbc, "CREATE TEMP TABLE W (A INTEGER)");  // stand-in
   MustExec(dm_.get(), dbc,
            "CREATE TEMP PROCEDURE TP AS SELECT 1");  // proc stand-in
@@ -87,10 +88,13 @@ TEST_F(OrphanGcTest, SparesArtifactsOfLiveClients) {
   Hdbc* live = dm_->AllocConnect(dm_->AllocEnv());
   ASSERT_EQ(dm_->Connect(live, "testdb", "alive"), SqlReturn::kSuccess);
   MustExec(dm_.get(), live, "CREATE TABLE BASE (K INTEGER PRIMARY KEY)");
-  MustExec(dm_.get(), live, "INSERT INTO BASE VALUES (1)");
+  MustExec(dm_.get(), live, "INSERT INTO BASE VALUES (1), (2)");
 
-  // An open result set whose table must survive the sweep.
+  // An open result set (two rows in blocks of one, so it is materialized)
+  // whose table must survive the sweep.
   odbc::Hstmt* stmt = dm_->AllocStmt(live);
+  ASSERT_EQ(dm_->SetStmtAttr(stmt, odbc::StmtAttr::kBlockSize, 1),
+            SqlReturn::kSuccess);
   ASSERT_EQ(dm_->ExecDirect(stmt, "SELECT * FROM BASE"), SqlReturn::kSuccess);
   StmtState* vs = PhoenixDriverManager::stmt_state(stmt);
   ASSERT_NE(vs, nullptr);
@@ -109,12 +113,13 @@ TEST_F(OrphanGcTest, MixedLiveAndDeadClients) {
   Hdbc* live = dm_->AllocConnect(dm_->AllocEnv());
   ASSERT_EQ(dm_->Connect(live, "testdb", "alive"), SqlReturn::kSuccess);
   MustExec(dm_.get(), live, "CREATE TABLE BASE (K INTEGER PRIMARY KEY)");
-  MustExec(dm_.get(), live, "INSERT INTO BASE VALUES (1)");
-  MustQuery(dm_.get(), live, "SELECT * FROM BASE");
+  MustExec(dm_.get(), live, "INSERT INTO BASE VALUES (1), (2)");
+  // Both clients' reads are materialized: two rows in blocks of one.
+  MustQuery(dm_.get(), live, "SELECT * FROM BASE", /*block_size=*/1);
 
   Hdbc* doomed = dm_->AllocConnect(dm_->AllocEnv());
   ASSERT_EQ(dm_->Connect(doomed, "testdb", "doomed"), SqlReturn::kSuccess);
-  MustQuery(dm_.get(), doomed, "SELECT * FROM BASE");
+  MustQuery(dm_.get(), doomed, "SELECT * FROM BASE", /*block_size=*/1);
   // Kill only the doomed client's sessions.
   eng::Database* db = cluster_.server.database();
   uint64_t doomed_main = doomed->driver->session_id();

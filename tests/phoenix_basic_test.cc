@@ -4,6 +4,8 @@
 
 #include "core/phoenix_driver_manager.h"
 
+#include <atomic>
+
 #include "obs/metrics.h"
 #include "test_util.h"
 
@@ -84,6 +86,9 @@ TEST_F(PhoenixBasicTest, ConnectCreatesPrivateConnectionAndProxy) {
 
 TEST_F(PhoenixBasicTest, SelectIsMaterializedAsPersistentTable) {
   Hstmt* stmt = dm_->AllocStmt(dbc_);
+  // Three rows in blocks of two: larger than one block, so materialized.
+  ASSERT_EQ(dm_->SetStmtAttr(stmt, StmtAttr::kBlockSize, 2),
+            SqlReturn::kSuccess);
   ASSERT_EQ(dm_->ExecDirect(stmt, "SELECT K, V FROM T WHERE K <= 3"),
             SqlReturn::kSuccess);
   StmtState* vs = PhoenixDriverManager::stmt_state(stmt);
@@ -102,41 +107,172 @@ TEST_F(PhoenixBasicTest, SelectIsMaterializedAsPersistentTable) {
   EXPECT_EQ(c.name, "K");
 }
 
-TEST_F(PhoenixBasicTest, MaterializedReadIsOnePrivateRoundTripAndOneCommit) {
+TEST_F(PhoenixBasicTest, MaterializedReadIsTwoPrivateRoundTripsAndOneCommit) {
   Hstmt* stmt = dm_->AllocStmt(dbc_);
+  // Two-row results in blocks of one: each read overflows its probe.
+  ASSERT_EQ(dm_->SetStmtAttr(stmt, StmtAttr::kBlockSize, 1),
+            SqlReturn::kSuccess);
   ConnState* cs = PhoenixDriverManager::conn_state(dbc_);
   // The second read also drops the first read's retired table — inside
   // the same transaction, so it costs no extra round trip or commit.
-  ReadAndClose(stmt, "SELECT V FROM T WHERE K = 2");
+  ReadAndClose(stmt, "SELECT V FROM T WHERE K >= 1 AND K <= 2 ORDER BY K");
   ASSERT_EQ(cs->retired_tables.size(), 1u);
   uint64_t main0 = dbc_->driver->channel()->stats().round_trips;
   uint64_t priv0 = cs->private_conn->channel()->stats().round_trips;
   obs::MetricsSnapshot before = obs::MetricsRegistry::Default()->Snapshot();
-  std::vector<Row> rows = ReadAndClose(stmt, "SELECT V FROM T WHERE K = 3");
+  std::vector<Row> rows =
+      ReadAndClose(stmt, "SELECT V FROM T WHERE K >= 3 AND K <= 4 ORDER BY K");
   obs::MetricsSnapshot after = obs::MetricsRegistry::Default()->Snapshot();
-  ASSERT_EQ(rows.size(), 1u);
+  ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0][0].AsString(), "c");
+  EXPECT_EQ(rows[1][0].AsString(), "d");
   uint64_t main_rts = dbc_->driver->channel()->stats().round_trips - main0;
   uint64_t priv_rts = cs->private_conn->channel()->stats().round_trips - priv0;
-  // Private: probe + materialization script. Main: cursor open, one block
-  // fetch, cursor close.
-  EXPECT_EQ(priv_rts, 1u);
-  EXPECT_EQ(main_rts + priv_rts, 4u);
+  // Private: the first-block probe, then the materialization script. Main:
+  // the cursor open carrying the first block, one fetch for the second
+  // block, the close.
+  EXPECT_EQ(priv_rts, 2u);
+  EXPECT_EQ(main_rts + priv_rts, 5u);
   EXPECT_EQ(after.counters["storage.wal.appends"] -
                 before.counters["storage.wal.appends"],
             1u);
 }
 
+TEST_F(PhoenixBasicTest, WholeResultReadIsOneRoundTripAndNoTable) {
+  Hstmt* stmt = dm_->AllocStmt(dbc_);
+  ConnState* cs = PhoenixDriverManager::conn_state(dbc_);
+  uint64_t main0 = dbc_->driver->channel()->stats().round_trips;
+  uint64_t priv0 = cs->private_conn->channel()->stats().round_trips;
+  obs::MetricsSnapshot before = obs::MetricsRegistry::Default()->Snapshot();
+  ASSERT_EQ(dm_->ExecDirect(stmt, "SELECT V FROM T WHERE K = 3"),
+            SqlReturn::kSuccess);
+  // Held like a native default result set: no Phoenix statement state.
+  EXPECT_EQ(PhoenixDriverManager::stmt_state(stmt), nullptr);
+  std::vector<std::string> rows;
+  while (dm_->Fetch(stmt) == SqlReturn::kSuccess) {
+    Value v;
+    dm_->GetData(stmt, 0, &v);
+    rows.push_back(v.AsString());
+  }
+  dm_->CloseCursor(stmt);
+  obs::MetricsSnapshot after = obs::MetricsRegistry::Default()->Snapshot();
+  EXPECT_EQ(rows, std::vector<std::string>{"c"});
+  uint64_t main_rts = dbc_->driver->channel()->stats().round_trips - main0;
+  uint64_t priv_rts = cs->private_conn->channel()->stats().round_trips - priv0;
+  EXPECT_EQ(main_rts, 0u);
+  EXPECT_EQ(priv_rts, 1u);
+  EXPECT_EQ(after.counter("storage.wal.appends"),
+            before.counter("storage.wal.appends"));
+  EXPECT_EQ(
+      after.counter("core.reads_whole") - before.counter("core.reads_whole"),
+      1u);
+  EXPECT_EQ(dm_->stats().whole_results, 1u);
+  EXPECT_EQ(dm_->stats().materialized_results, 0u);
+  EXPECT_EQ(ResultTablesOnServer(), 0u);
+  EXPECT_TRUE(cs->retired_tables.empty());
+}
+
+TEST_F(PhoenixBasicTest, BlockBoundaryDecidesWholeOrMaterialized) {
+  auto read = [&](int64_t block, const std::string& sql) {
+    Hstmt* stmt = dm_->AllocStmt(dbc_);
+    EXPECT_EQ(dm_->SetStmtAttr(stmt, StmtAttr::kBlockSize, block),
+              SqlReturn::kSuccess);
+    std::vector<int64_t> keys;
+    for (const Row& row : ReadAndClose(stmt, sql)) {
+      keys.push_back(row[0].AsInt64());
+    }
+    dm_->FreeStmt(stmt);
+    return keys;
+  };
+  const std::vector<int64_t> all = {1, 2, 3, 4, 5};
+  // block_size rows: the whole result rides on the probe's reply.
+  EXPECT_EQ(read(5, "SELECT K FROM T ORDER BY K"), all);
+  EXPECT_EQ(dm_->stats().whole_results, 1u);
+  EXPECT_EQ(dm_->stats().materialized_results, 0u);
+  // block_size + 1 rows: materialized, delivered complete and in order.
+  EXPECT_EQ(read(4, "SELECT K FROM T ORDER BY K"), all);
+  EXPECT_EQ(dm_->stats().whole_results, 1u);
+  EXPECT_EQ(dm_->stats().materialized_results, 1u);
+  // A query's own LIMIT of at most one block: whole.
+  EXPECT_EQ(read(2, "SELECT K FROM T ORDER BY K LIMIT 2"),
+            (std::vector<int64_t>{1, 2}));
+  EXPECT_EQ(dm_->stats().whole_results, 2u);
+  // An own LIMIT past the block: materialized, the LIMIT still applied.
+  EXPECT_EQ(read(2, "SELECT K FROM T ORDER BY K DESC LIMIT 3"),
+            (std::vector<int64_t>{5, 4, 3}));
+  EXPECT_EQ(dm_->stats().materialized_results, 2u);
+  // An empty result is whole too.
+  EXPECT_TRUE(read(1, "SELECT K FROM T WHERE K > 99").empty());
+  EXPECT_EQ(dm_->stats().whole_results, 3u);
+}
+
+TEST_F(PhoenixBasicTest, ReadInOpenTransactionSeesItsOwnUpdateOnBothPaths) {
+  MustExec(dm_.get(), dbc_, "BEGIN TRANSACTION");
+  MustExec(dm_.get(), dbc_, "UPDATE T SET V = 'z' WHERE K = 1");
+  // Whole: one row fits one block.
+  std::vector<Row> whole =
+      MustQuery(dm_.get(), dbc_, "SELECT V FROM T WHERE K = 1");
+  ASSERT_EQ(whole.size(), 1u);
+  EXPECT_EQ(whole[0][0].AsString(), "z");
+  // Materialized: five rows in blocks of two.
+  std::vector<Row> table =
+      MustQuery(dm_.get(), dbc_, "SELECT K, V FROM T ORDER BY K", 2);
+  ASSERT_EQ(table.size(), 5u);
+  EXPECT_EQ(table[0][1].AsString(), "z");
+  EXPECT_EQ(table[1][1].AsString(), "b");
+  EXPECT_EQ(dm_->stats().whole_results, 1u);
+  EXPECT_EQ(dm_->stats().materialized_results, 1u);
+  MustExec(dm_.get(), dbc_, "ROLLBACK");
+  std::vector<Row> after =
+      MustQuery(dm_.get(), dbc_, "SELECT V FROM T WHERE K = 1");
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0][0].AsString(), "a");
+}
+
+TEST_F(PhoenixBasicTest, MaterializedReadOfTwoBlocksDoesOneFetch) {
+  obs::Counter* fetches =
+      obs::MetricsRegistry::Default()->GetCounter("net.requests.fetch");
+  uint64_t before = fetches->Value();
+  // Five rows in blocks of three: the open ships rows 1-3, one fetch
+  // brings rows 4-5 and reports the end.
+  std::vector<Row> rows =
+      MustQuery(dm_.get(), dbc_, "SELECT K FROM T ORDER BY K", 3);
+  ASSERT_EQ(rows.size(), 5u);
+  EXPECT_EQ(rows[4][0].AsInt64(), 5);
+  EXPECT_EQ(dm_->stats().materialized_results, 1u);
+  EXPECT_EQ(fetches->Value() - before, 1u);
+}
+
 TEST_F(PhoenixBasicTest, RuntimeErrorRollsBackThePrivateTransaction) {
   Hstmt* stmt = dm_->AllocStmt(dbc_);
-  // The WHERE 0=1 probe compiles fine; the SELECT INTO fails at K = 3,
-  // after the script's BEGIN.
+  // Blocks of one row: every read below overflows its probe and runs the
+  // materialization script.
+  ASSERT_EQ(dm_->SetStmtAttr(stmt, StmtAttr::kBlockSize, 1),
+            SqlReturn::kSuccess);
+  // Without K = 3 the first-block probe runs clean. Another session puts
+  // the row back just before the script executes, so the SELECT INTO fails
+  // at K = 3, after the script's BEGIN.
+  MustExec(dm_.get(), dbc_, "DELETE FROM T WHERE K = 3");
+  ConnState* cs = PhoenixDriverManager::conn_state(dbc_);
+  uint64_t priv_sid = cs->private_conn->session_id();
+  auto other = ServerDb()->CreateSession("other");
+  ASSERT_TRUE(other.ok());
+  auto fired = std::make_shared<std::atomic<bool>>(false);
+  cluster_.before_dispatch = [this, priv_sid, sid = *other,
+                              fired](const net::Request& req) {
+    if (req.session_id == priv_sid &&
+        req.sql.rfind("BEGIN TRANSACTION", 0) == 0 && !fired->exchange(true)) {
+      EXPECT_TRUE(
+          ServerDb()->ExecuteScript(sid, "INSERT INTO T VALUES (3, 'c', 3.5)")
+              .ok());
+    }
+  };
   EXPECT_EQ(dm_->ExecDirect(stmt, "SELECT 10 / (K - 3) AS Q FROM T"),
             SqlReturn::kError);
+  EXPECT_TRUE(fired->load());
   EXPECT_NE(DriverManager::Diag(stmt).message().find("division by zero"),
             std::string::npos)
       << DriverManager::Diag(stmt).ToString();
-  ConnState* cs = PhoenixDriverManager::conn_state(dbc_);
   eng::Session* priv = ServerDb()->GetSession(cs->private_conn->session_id());
   ASSERT_NE(priv, nullptr);
   EXPECT_EQ(priv->txn, nullptr);
@@ -168,6 +304,9 @@ TEST_F(PhoenixBasicTest, ReExecutingAStatementClosesItsCursor) {
   obs::Gauge* oldest_pin =
       obs::MetricsRegistry::Default()->GetGauge("engine.mvcc.oldest_pin_lsn");
   int64_t first_pin = 0;
+  // Five rows in blocks of two: every execution is materialized.
+  ASSERT_EQ(dm_->SetStmtAttr(stmt, StmtAttr::kBlockSize, 2),
+            SqlReturn::kSuccess);
   for (int i = 0; i < 100; ++i) {
     ASSERT_EQ(dm_->ExecDirect(stmt, "SELECT K, V FROM T"), SqlReturn::kSuccess);
     if (i == 0) first_pin = oldest_pin->Value();

@@ -5,6 +5,8 @@
 
 #include "core/phoenix_driver_manager.h"
 
+#include <atomic>
+
 #include "obs/metrics.h"
 #include "test_util.h"
 
@@ -207,14 +209,25 @@ TEST_F(PhoenixRecoveryTest, LostReplyRecoveredFromStatusTable) {
 TEST_F(PhoenixRecoveryTest, LostMaterializationReplyResentExactlyOnce) {
   // The private script executes and commits, but its reply vanishes:
   // Phoenix re-sends the whole script, whose DROP TABLE IF EXISTS makes the
-  // SELECT INTO start clean instead of doubling or colliding.
+  // SELECT INTO start clean instead of doubling or colliding. Thirty rows
+  // in blocks of ten overflow the first-block probe; the reply loss is
+  // armed while the probe executes, so it hits the script that follows.
   ConnState* cs = PhoenixDriverManager::conn_state(dbc_);
-  cs->private_conn->channel()->InjectLoseReplies(1);
-  std::vector<Row> rows =
-      MustQuery(dm_.get(), dbc_, "SELECT N FROM NUMS WHERE N <= 30 ORDER BY N");
+  uint64_t priv_sid = cs->private_conn->session_id();
+  auto armed = std::make_shared<std::atomic<bool>>(false);
+  cluster_.before_dispatch = [cs, priv_sid, armed](const net::Request& req) {
+    if (req.session_id == priv_sid &&
+        req.sql.find("LIMIT") != std::string::npos && !armed->exchange(true)) {
+      cs->private_conn->channel()->InjectLoseReplies(1);
+    }
+  };
+  std::vector<Row> rows = MustQuery(
+      dm_.get(), dbc_, "SELECT N FROM NUMS WHERE N <= 30 ORDER BY N", 10);
+  EXPECT_TRUE(armed->load());
   ASSERT_EQ(rows.size(), 30u);
   for (int i = 0; i < 30; ++i) EXPECT_EQ(rows[i][0].AsInt64(), i + 1);
   EXPECT_GE(dm_->stats().transient_retries, 1u);
+  EXPECT_EQ(dm_->stats().materialized_results, 1u);
   size_t result_tables = 0;
   for (const Row& row : MustQuery(dm_.get(), dbc_, "SHOW TABLES")) {
     if (row[0].AsString().rfind("PHX_RES_", 0) == 0) ++result_tables;
@@ -222,14 +235,102 @@ TEST_F(PhoenixRecoveryTest, LostMaterializationReplyResentExactlyOnce) {
   EXPECT_EQ(result_tables, 1u);
 }
 
+TEST_F(PhoenixRecoveryTest, LostProbeReplyReExecutedOnce) {
+  // A whole-result read's only request is the probe. Its reply vanishes;
+  // the application has seen nothing, so Phoenix runs it once more.
+  ConnState* cs = PhoenixDriverManager::conn_state(dbc_);
+  cs->private_conn->channel()->InjectLoseReplies(1);
+  uint64_t priv0 = cs->private_conn->channel()->stats().round_trips;
+  std::vector<Row> rows =
+      MustQuery(dm_.get(), dbc_, "SELECT N FROM NUMS WHERE N <= 30 ORDER BY N");
+  ASSERT_EQ(rows.size(), 30u);
+  for (int i = 0; i < 30; ++i) EXPECT_EQ(rows[i][0].AsInt64(), i + 1);
+  // The lost execution and its one re-execution.
+  EXPECT_EQ(cs->private_conn->channel()->stats().round_trips - priv0, 2u);
+  EXPECT_EQ(dm_->stats().transient_retries, 1u);
+  EXPECT_EQ(dm_->stats().recoveries, 0u);
+  EXPECT_EQ(dm_->stats().whole_results, 1u);
+  EXPECT_EQ(dm_->stats().materialized_results, 0u);
+}
+
+TEST_F(PhoenixRecoveryTest, CrashAfterWholeResultReadStillDeliversEveryRow) {
+  // Ten rows fit one block: they arrived with ExecDirect, so the crash
+  // takes nothing the application still needs.
+  Hstmt* stmt = dm_->AllocStmt(dbc_);
+  ASSERT_EQ(dm_->ExecDirect(stmt, "SELECT N, SQ FROM NUMS WHERE N <= 10 "
+                                  "ORDER BY N"),
+            SqlReturn::kSuccess);
+  Crash();
+  for (int i = 1; i <= 10; ++i) {
+    ASSERT_EQ(dm_->Fetch(stmt), SqlReturn::kSuccess) << "row " << i;
+    Value n, sq;
+    dm_->GetData(stmt, 0, &n);
+    dm_->GetData(stmt, 1, &sq);
+    EXPECT_EQ(n.AsInt64(), i);
+    EXPECT_EQ(sq.AsInt64(), i * i);
+  }
+  EXPECT_EQ(dm_->Fetch(stmt), SqlReturn::kNoData);
+  EXPECT_EQ(dm_->stats().whole_results, 1u);
+  // The session itself still recovers on its next server call.
+  EXPECT_EQ(
+      MustQuery(dm_.get(), dbc_, "SELECT COUNT(*) AS C FROM NUMS")[0][0]
+          .AsInt64(),
+      100);
+  EXPECT_EQ(dm_->stats().recoveries, 1u);
+}
+
+TEST_F(PhoenixRecoveryTest, CrashAfterFirstBlockResumesAtTheExactRow) {
+  // Blocks of ten: the open shipped rows 1-10. The crash lands before the
+  // first fetch request, which must re-open the result table at row 10.
+  Hstmt* stmt = dm_->AllocStmt(dbc_);
+  ASSERT_EQ(dm_->SetStmtAttr(stmt, StmtAttr::kBlockSize, 10),
+            SqlReturn::kSuccess);
+  ASSERT_EQ(dm_->ExecDirect(stmt, "SELECT N FROM NUMS ORDER BY N"),
+            SqlReturn::kSuccess);
+  for (int i = 1; i <= 10; ++i) {
+    ASSERT_EQ(dm_->Fetch(stmt), SqlReturn::kSuccess);
+    Value n;
+    dm_->GetData(stmt, 0, &n);
+    ASSERT_EQ(n.AsInt64(), i);
+  }
+  EXPECT_EQ(dm_->stats().recoveries, 0u);
+  Crash();
+  for (int i = 11; i <= 100; ++i) {
+    ASSERT_EQ(dm_->Fetch(stmt), SqlReturn::kSuccess) << "row " << i;
+    Value n;
+    dm_->GetData(stmt, 0, &n);
+    ASSERT_EQ(n.AsInt64(), i);
+  }
+  EXPECT_EQ(dm_->Fetch(stmt), SqlReturn::kNoData);
+  EXPECT_EQ(dm_->stats().recoveries, 1u);
+  EXPECT_EQ(dm_->stats().state_reinstalls, 1u);
+  EXPECT_EQ(dm_->stats().rows_redelivered, 90u);
+}
+
 TEST_F(PhoenixRecoveryTest, LostReplyOfAFailedMaterializationKeepsItsError) {
   // The script fails after its BEGIN (division by zero at N = 50) and the
   // error reply is lost. The re-sent copy meets the transaction the first
   // copy left open; Phoenix rolls it back and runs the script again, so
   // the application sees the real error and the private session ends up
-  // outside any transaction.
+  // outside any transaction. Without N = 50 the first-block probe runs
+  // clean; another session puts the row back while the probe executes,
+  // and arms the reply loss for the script that follows.
+  MustExec(dm_.get(), dbc_, "DELETE FROM NUMS WHERE N = 50");
   ConnState* cs = PhoenixDriverManager::conn_state(dbc_);
-  cs->private_conn->channel()->InjectLoseReplies(1);
+  uint64_t priv_sid = cs->private_conn->session_id();
+  eng::Database* db = cluster_.server.database();
+  auto other = db->CreateSession("other");
+  ASSERT_TRUE(other.ok());
+  auto armed = std::make_shared<std::atomic<bool>>(false);
+  cluster_.before_dispatch = [cs, db, priv_sid, sid = *other,
+                              armed](const net::Request& req) {
+    if (req.session_id == priv_sid &&
+        req.sql.find("LIMIT") != std::string::npos && !armed->exchange(true)) {
+      EXPECT_TRUE(
+          db->ExecuteScript(sid, "INSERT INTO NUMS VALUES (50, 2500)").ok());
+      cs->private_conn->channel()->InjectLoseReplies(1);
+    }
+  };
   Hstmt* stmt = dm_->AllocStmt(dbc_);
   EXPECT_EQ(dm_->ExecDirect(stmt, "SELECT 10 / (N - 50) AS Q FROM NUMS"),
             SqlReturn::kError);
@@ -370,8 +471,12 @@ TEST_F(PhoenixRecoveryTest, DynamicCursorResumesAfterCrash) {
 // --- Failure detection paths --------------------------------------------------
 
 TEST_F(PhoenixRecoveryTest, TransientFaultRetriedWithoutRemap) {
+  // Two rows in blocks of one: the read is materialized, so the dropped
+  // requests are the main connection's cursor opens.
   dbc_->driver->channel()->InjectDropRequests(2);
-  auto rows = MustQuery(dm_.get(), dbc_, "SELECT COUNT(*) AS C FROM NUMS");
+  auto rows = MustQuery(dm_.get(), dbc_,
+                        "SELECT N AS C FROM NUMS WHERE N >= 99 ORDER BY N DESC",
+                        1);
   EXPECT_EQ(rows[0][0].AsInt64(), 100);
   EXPECT_EQ(dm_->stats().recoveries, 0u);
   EXPECT_GE(dm_->stats().transient_retries, 1u);

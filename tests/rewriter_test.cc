@@ -87,41 +87,57 @@ TEST(Rewriter, CreateTableFromMetadataSanitizesNames) {
   EXPECT_TRUE(sql::Parser::ParseStatement(ct.ToSql()).ok());
 }
 
+TEST(Rewriter, FirstBlockProbeCapsTheLimitOneRowPastTheBlock) {
+  auto sel = ParseSelect("SELECT a, b FROM t WHERE a > 1 ORDER BY b");
+  auto probe = MakeFirstBlockProbe(*sel, 64);
+  // The application's own query, ORDER BY and WHERE kept, LIMIT block + 1.
+  EXPECT_EQ(probe->limit, 65);
+  EXPECT_EQ(probe->order_by.size(), 1u);
+  EXPECT_NE(probe->ToSql().find("a > 1"), std::string::npos);
+  EXPECT_EQ(probe->ToSql().find("(0 = 1)"), std::string::npos);
+  // An own LIMIT below the cap is kept; one above it is capped.
+  EXPECT_EQ(MakeFirstBlockProbe(*ParseSelect("SELECT a FROM t LIMIT 10"), 64)
+                ->limit,
+            10);
+  EXPECT_EQ(MakeFirstBlockProbe(*ParseSelect("SELECT a FROM t LIMIT 500"), 64)
+                ->limit,
+            65);
+  // No overflow at the largest block size.
+  EXPECT_EQ(MakeFirstBlockProbe(*sel, INT64_MAX)->limit, INT64_MAX);
+  EXPECT_TRUE(sql::Parser::ParseStatement(probe->ToSql()).ok());
+}
+
 TEST(Rewriter, MaterializeScriptIsOneTransaction) {
   auto sel = ParseSelect("SELECT a, b FROM t WHERE a > 1 ORDER BY b LIMIT 5");
-  std::string sql = MakeMaterializeScript(*sel, *sel, "PHX_RES_9",
-                                         {"PHX_RES_7", "PHX_KEY_8"});
+  std::string sql =
+      MakeMaterializeScript(*sel, "PHX_RES_9", {"PHX_RES_7", "PHX_KEY_8"});
   auto stmts = sql::Parser::ParseScript(sql);
   ASSERT_TRUE(stmts.ok()) << sql;
-  ASSERT_EQ(stmts->size(), 7u) << sql;
-  // [0] the WHERE 0=1 probe: the metadata the application sees.
-  EXPECT_EQ((*stmts)[0]->kind, sql::StmtKind::kSelect);
-  EXPECT_TRUE((*stmts)[0]->select->into_table.empty());
-  EXPECT_NE((*stmts)[0]->ToSql().find("(0 = 1)"), std::string::npos);
-  EXPECT_EQ((*stmts)[1]->kind, sql::StmtKind::kBeginTxn);
+  // No metadata probe: the first-block probe already returned the schema.
+  ASSERT_EQ(stmts->size(), 6u) << sql;
+  EXPECT_EQ((*stmts)[0]->kind, sql::StmtKind::kBeginTxn);
   // Retired tables first, then the target itself: a re-sent script starts
   // clean.
-  EXPECT_EQ((*stmts)[2]->ToSql(), "DROP TABLE IF EXISTS PHX_RES_7");
-  EXPECT_EQ((*stmts)[3]->ToSql(), "DROP TABLE IF EXISTS PHX_KEY_8");
-  EXPECT_EQ((*stmts)[4]->ToSql(), "DROP TABLE IF EXISTS PHX_RES_9");
+  EXPECT_EQ((*stmts)[1]->ToSql(), "DROP TABLE IF EXISTS PHX_RES_7");
+  EXPECT_EQ((*stmts)[2]->ToSql(), "DROP TABLE IF EXISTS PHX_KEY_8");
+  EXPECT_EQ((*stmts)[3]->ToSql(), "DROP TABLE IF EXISTS PHX_RES_9");
   // The SELECT keeps its ORDER BY/LIMIT and gains the INTO.
-  const sql::SelectStmt& into = *(*stmts)[5]->select;
+  const sql::SelectStmt& into = *(*stmts)[4]->select;
   EXPECT_EQ(into.into_table, "PHX_RES_9");
   EXPECT_EQ(into.limit, 5);
   EXPECT_EQ(into.order_by.size(), 1u);
-  EXPECT_EQ((*stmts)[6]->kind, sql::StmtKind::kCommit);
+  EXPECT_EQ((*stmts)[5]->kind, sql::StmtKind::kCommit);
 }
 
-TEST(Rewriter, MaterializeScriptProbesShownSelectsSource) {
+TEST(Rewriter, MaterializeScriptSelectsTheKeySource) {
   auto shown = ParseSelect("SELECT v FROM t WHERE v > 3");
   auto keys = MakeSelectKeys(*shown, {"K"});
-  std::string sql = MakeMaterializeScript(*shown, *keys, "PHX_KEY_1", {});
+  std::string sql = MakeMaterializeScript(*keys, "PHX_KEY_1", {});
   auto stmts = sql::Parser::ParseScript(sql);
   ASSERT_TRUE(stmts.ok()) << sql;
-  ASSERT_EQ(stmts->size(), 5u) << sql;
-  EXPECT_EQ((*stmts)[0]->select->items[0].expr->ToSql(), "v");
-  EXPECT_EQ((*stmts)[3]->select->items[0].expr->ToSql(), "K");
-  EXPECT_EQ((*stmts)[3]->select->into_table, "PHX_KEY_1");
+  ASSERT_EQ(stmts->size(), 4u) << sql;
+  EXPECT_EQ((*stmts)[2]->select->items[0].expr->ToSql(), "K");
+  EXPECT_EQ((*stmts)[2]->select->into_table, "PHX_KEY_1");
 }
 
 TEST(Rewriter, SelectKeysOrdersByPk) {

@@ -87,13 +87,33 @@ TEST_F(SeekTest, SeekWithoutResultFails) {
 
 TEST_F(SeekTest, PhoenixSeekMaterialized) {
   Hstmt* stmt = dm_->AllocStmt(dbc_);
+  // Fifty rows in blocks of ten: a materialized result, seeked server-side.
+  dm_->SetStmtAttr(stmt, StmtAttr::kBlockSize, 10);
   ASSERT_EQ(dm_->ExecDirect(stmt, "SELECT N FROM T ORDER BY N"),
             SqlReturn::kSuccess);
+  ASSERT_NE(PhoenixDriverManager::stmt_state(stmt), nullptr);
+  EXPECT_EQ(PhoenixDriverManager::stmt_state(stmt)->kind,
+            StmtState::Kind::kMaterialized);
   ASSERT_EQ(dm_->SeekRow(stmt, 25), SqlReturn::kSuccess);
   EXPECT_EQ(FetchOne(dm_.get(), stmt), 26);
   // Seek backwards too.
   ASSERT_EQ(dm_->SeekRow(stmt, 10), SqlReturn::kSuccess);
   EXPECT_EQ(FetchOne(dm_.get(), stmt), 11);
+}
+
+TEST_F(SeekTest, PhoenixSeekWholeResult) {
+  // Fifty rows in one block: the whole result is buffered client-side and
+  // seeks move within it without a server call.
+  Hstmt* stmt = dm_->AllocStmt(dbc_);
+  ASSERT_EQ(dm_->ExecDirect(stmt, "SELECT N FROM T ORDER BY N"),
+            SqlReturn::kSuccess);
+  EXPECT_EQ(PhoenixDriverManager::stmt_state(stmt), nullptr);
+  uint64_t rts0 = dbc_->driver->channel()->stats().round_trips;
+  ASSERT_EQ(dm_->SeekRow(stmt, 25), SqlReturn::kSuccess);
+  EXPECT_EQ(FetchOne(dm_.get(), stmt), 26);
+  ASSERT_EQ(dm_->SeekRow(stmt, 10), SqlReturn::kSuccess);
+  EXPECT_EQ(FetchOne(dm_.get(), stmt), 11);
+  EXPECT_EQ(dbc_->driver->channel()->stats().round_trips, rts0);
 }
 
 TEST_F(SeekTest, PhoenixSeekSurvivesCrash) {

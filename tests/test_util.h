@@ -1,6 +1,7 @@
 #ifndef PHOENIX_TESTS_TEST_UTIL_H_
 #define PHOENIX_TESTS_TEST_UTIL_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -37,13 +38,27 @@ namespace phoenix::testutil {
 /// A disk + server + network trio, the standard test substrate.
 struct TestCluster {
   storage::SimDisk disk;
+  /// Runs on the server's worker thread just before each request executes
+  /// (after any pre_dispatch_hook in the options). Set it before issuing
+  /// the requests it should see.
+  std::function<void(const net::Request&)> before_dispatch;
   net::DbServer server;
   net::Network network;
 
-  explicit TestCluster(net::ServerOptions opts = {}) : server(&disk, opts) {
+  explicit TestCluster(net::ServerOptions opts = {})
+      : server(&disk, WithBeforeDispatch(std::move(opts))) {
     auto st = server.Start();
     EXPECT_TRUE(st.ok()) << st.ToString();
     network.RegisterServer("testdb", &server);
+  }
+
+  net::ServerOptions WithBeforeDispatch(net::ServerOptions opts) {
+    opts.pre_dispatch_hook = [this, prev = std::move(opts.pre_dispatch_hook)](
+                                 const net::Request& req) {
+      if (prev) prev(req);
+      if (before_dispatch) before_dispatch(req);
+    };
+    return opts;
   }
 
   /// Crash + immediate restart (volatile state gone, durable state back).
@@ -72,10 +87,17 @@ inline core::PhoenixConfig AutoRestartConfig(net::DbServer* server,
 }
 
 /// Runs a SQL batch on a fresh statement; fails the test on error. Returns
-/// fetched rows for queries (empty for non-queries).
+/// fetched rows for queries (empty for non-queries). A `block_size` > 0 sets
+/// the statement's fetch block first: through Phoenix, a result larger than
+/// one block is materialized as a server table.
 inline std::vector<Row> MustQuery(odbc::DriverManager* dm, odbc::Hdbc* dbc,
-                                  const std::string& sql) {
+                                  const std::string& sql,
+                                  int64_t block_size = 0) {
   odbc::Hstmt* stmt = dm->AllocStmt(dbc);
+  if (block_size > 0) {
+    EXPECT_EQ(dm->SetStmtAttr(stmt, odbc::StmtAttr::kBlockSize, block_size),
+              odbc::SqlReturn::kSuccess);
+  }
   EXPECT_TRUE(Succeeded(dm->ExecDirect(stmt, sql)))
       << sql << " -> " << odbc::DriverManager::Diag(stmt).ToString();
   std::vector<Row> rows;
