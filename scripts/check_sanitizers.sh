@@ -3,18 +3,21 @@
 #   1. AddressSanitizer + UndefinedBehaviorSanitizer  (memory / UB)
 #   2. ThreadSanitizer                                (data races)
 # TSan is a separate lane because it cannot be combined with ASan. The TSan
-# lane is the merge gate for anything touching the concurrent DbServer,
-# worker pool, or engine locking: it must pass with zero reports.
+# lane is the merge gate for anything touching the concurrent DbServer (its
+# worker pool and per-session mutexes), the socket transport, or engine
+# locking: it must pass with zero reports.
 #
 # A third lane, `chaos`, runs only the seeded fault-schedule matrix, the WAL
 # unit suite, and the recovery regression suite under both sanitizers — the
 # fast loop when iterating on recovery/chaos code. Any red schedule prints a
 # one-line `PHX_CHAOS_SEED=<seed>` repro command.
 #
-# A fourth lane, `socket`, runs the real-wire suites (framing, socket
-# transport, out-of-process phoenixd with SIGKILL rendezvous, and the
-# process-kill chaos matrix) under asan+tsan with PHX_TRANSPORT=unix, so the
-# chaos matrix's process lane crosses a real process boundary. Sandboxed
+# A fourth lane, `socket`, runs the real-wire suites (framing; the socket
+# transport's synchronous round trips, with threads sharing a channel, the
+# late-reply skip and one server thread per connection; out-of-process
+# phoenixd with SIGKILL rendezvous; and the process-kill chaos matrix) under
+# asan+tsan with PHX_TRANSPORT=unix, so the chaos matrix's process lane
+# crosses a real process boundary. Sandboxed
 # no-network runners should instead exclude socket-labelled tests from the
 # main lanes with `ctest -LE socket` (the suites also self-skip when the
 # sandbox denies AF_UNIX).

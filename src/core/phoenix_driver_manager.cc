@@ -92,7 +92,7 @@ Result<int> PhoenixDriverManager::CleanupOrphans(net::Network* network,
 SqlReturn PhoenixDriverManager::Connect(Hdbc* dbc, const std::string& dsn,
                                         const std::string& user) {
   SqlReturn r = DriverManager::Connect(dbc, dsn, user);
-  if (!Succeeded(r) || !config_.enabled) return r;
+  if (!Succeeded(r)) return r;
 
   auto cs = std::make_shared<ConnState>();
   cs->tag = MakeConnTag();
@@ -187,7 +187,7 @@ SqlReturn PhoenixDriverManager::SetConnectOption(Hdbc* dbc,
 SqlReturn PhoenixDriverManager::ExecDirect(Hstmt* stmt,
                                            const std::string& sql) {
   ConnState* cs = conn_state(stmt->dbc);
-  if (cs == nullptr || !config_.enabled) {
+  if (cs == nullptr) {
     return DriverManager::ExecDirect(stmt, sql);
   }
   if (cs->broken) {
@@ -762,7 +762,7 @@ SqlReturn PhoenixDriverManager::ExecPassthrough(Hstmt* stmt,
 SqlReturn PhoenixDriverManager::Fetch(Hstmt* stmt) {
   ConnState* cs = conn_state(stmt->dbc);
   StmtState* vs = stmt_state(stmt);
-  if (cs == nullptr || vs == nullptr || !config_.enabled) {
+  if (cs == nullptr || vs == nullptr) {
     return DriverManager::Fetch(stmt);
   }
   if (cs->broken) return Fail(stmt, Status::CommError("session unrecoverable"));
@@ -903,7 +903,7 @@ SqlReturn PhoenixDriverManager::FetchDynamic(Hstmt* stmt, ConnState* cs,
 SqlReturn PhoenixDriverManager::SeekRow(Hstmt* stmt, uint64_t position) {
   ConnState* cs = conn_state(stmt->dbc);
   StmtState* vs = stmt_state(stmt);
-  if (cs == nullptr || vs == nullptr || !config_.enabled) {
+  if (cs == nullptr || vs == nullptr) {
     return DriverManager::SeekRow(stmt, position);
   }
   if (cs->broken) return Fail(stmt, Status::CommError("session unrecoverable"));

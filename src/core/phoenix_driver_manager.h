@@ -21,8 +21,8 @@ namespace phoenix::core {
 ///      session onto a fresh connection, reinstalls the saved SQL state, and
 ///      transparently resumes — the application just sees a slow call.
 ///
-/// Applications use it exactly like the plain DriverManager; with
-/// `config.enabled = false` it degenerates to the plain DM byte-for-byte.
+/// Applications use it exactly like the plain DriverManager; the plain
+/// odbc::DriverManager is the native, non-persistent path.
 class PhoenixDriverManager : public odbc::DriverManager {
  public:
   PhoenixDriverManager(net::Network* network, PhoenixConfig config = {});

@@ -62,9 +62,6 @@ struct PhoenixConfig {
   /// eng::DatabaseOptions; explicit field assignment overrides as usual.
   PhoenixConfig() : server_group(Options::FromEnv().endpoints) {}
 
-  /// Master switch: disabled == behave exactly like the plain DM.
-  bool enabled = true;
-
   /// Reconnect attempts before giving up and surfacing the comm error.
   int reconnect_attempts = 200;
   /// Invoked between reconnect attempts. Test harnesses and benches restart

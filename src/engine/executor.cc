@@ -534,7 +534,21 @@ Result<BoundRows> Executor::EvaluateFrom(const SelectStmt& sel) {
       scan_table(tables[0], plan.enabled ? &plan.base : nullptr,
                  /*apply_pool=*/true, plan.order_by_index,
                  plan.order_reverse));
-  if (tables.size() == 1) return cur;
+  // A conjunct no scan or join step could resolve names a column no table
+  // has: an error, never a silently dropped filter.
+  auto check_all_used = [&]() -> Status {
+    for (size_t i = 0; i < conjuncts.size(); ++i) {
+      if (!used[i]) {
+        return Status::SqlError("unresolvable predicate: " +
+                                conjuncts[i]->ToSql());
+      }
+    }
+    return Status::Ok();
+  };
+  if (tables.size() == 1) {
+    PHX_RETURN_IF_ERROR(check_all_used());
+    return cur;
+  }
   cur.single_table = nullptr;
   cur.rids.clear();
   cur.ordered = false;
@@ -852,12 +866,7 @@ Result<BoundRows> Executor::EvaluateFrom(const SelectStmt& sel) {
     cur = std::move(joined);
   }
 
-  for (size_t i = 0; i < conjuncts.size(); ++i) {
-    if (!used[i]) {
-      return Status::SqlError("unresolvable predicate: " +
-                              conjuncts[i]->ToSql());
-    }
-  }
+  PHX_RETURN_IF_ERROR(check_all_used());
   return cur;
 }
 

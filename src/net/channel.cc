@@ -54,14 +54,6 @@ void TraceOutcome(uint64_t request_id, Request::Kind kind, const char* what) {
              {"kind", RequestKindName(kind)}});
 }
 
-/// A future that is already resolved — error paths return these so sync and
-/// async callers share one code path.
-std::future<Result<Response>> ReadyResult(Result<Response> r) {
-  std::promise<Result<Response>> p;
-  p.set_value(std::move(r));
-  return p.get_future();
-}
-
 /// The server's intake rejected this request without executing it ("server
 /// is down"): the connection-dead outcome. Distinguishing this from a lost
 /// reply is load-bearing — see the lose_reply handling below.
@@ -72,8 +64,7 @@ bool IsUnexecutedRejection(const Response& response) {
 
 }  // namespace
 
-std::future<Result<Response>> InprocChannel::RoundTripAsync(
-    const Request& request) {
+Result<Response> InprocChannel::RoundTrip(const Request& request) {
   auto* reg = obs::MetricsRegistry::Default();
   round_trips_.fetch_add(1, std::memory_order_relaxed);
   reg->GetCounter("net.round_trips")->Increment();
@@ -94,14 +85,14 @@ std::future<Result<Response>> InprocChannel::RoundTripAsync(
   if (disconnected_.load()) {
     record_latency();
     TraceOutcome(req.request_id, req.kind, "net.client_closed");
-    return ReadyResult(Status::CommError("connection closed by client"));
+    return Status::CommError("connection closed by client");
   }
   if (ClaimFault(&drop_requests_)) {
     faults_injected_.fetch_add(1, std::memory_order_relaxed);
     reg->GetCounter("net.faults.dropped_requests")->Increment();
     record_latency();
     TraceOutcome(req.request_id, req.kind, "net.fault.request_dropped");
-    return ReadyResult(Status::CommError("connection reset (request lost)"));
+    return Status::CommError("connection reset (request lost)");
   }
   std::string wire_request = req.Encode();
   bytes_sent_.fetch_add(wire_request.size(), std::memory_order_relaxed);
@@ -112,59 +103,48 @@ std::future<Result<Response>> InprocChannel::RoundTripAsync(
     // The TCP stack notices the peer is gone: error or hang → timeout.
     record_latency();
     TraceOutcome(req.request_id, req.kind, "net.server_down");
-    return ReadyResult(
-        Status::CommError("connection reset by peer (server down)"));
+    return Status::CommError("connection reset by peer (server down)");
   }
   auto decoded = Request::Decode(wire_request);
-  if (!decoded.ok()) return ReadyResult(decoded.status());
+  if (!decoded.ok()) return decoded.status();
 
   // The per-request fault decision: claimed here, at dispatch time, so two
-  // in-flight requests can never both consume (or re-observe) one token.
+  // callers sharing the channel can never both consume one token.
   bool lose_reply = ClaimFault(&lose_replies_);
   if (lose_reply) {
     faults_injected_.fetch_add(1, std::memory_order_relaxed);
     reg->GetCounter("net.faults.lost_replies")->Increment();
   }
 
-  std::future<Response> server_future = server_->HandleAsync(decoded.take());
-  // The response-side wire work is deferred to .get(): the server executes
-  // concurrently, the waiter pays decode + latency simulation.
-  return std::async(
-      std::launch::deferred,
-      [this, reg, record_latency, lose_reply, request_id = req.request_id,
-       kind = req.kind,
-       server_future = std::move(server_future)]() mutable -> Result<Response> {
-        Response response = server_future.get();
-        if (IsUnexecutedRejection(response)) {
-          // The server crashed between our liveness check and the dispatch:
-          // its intake rejected the request WITHOUT executing it. This is
-          // the connection-dead outcome and it takes precedence over a
-          // claimed lose-reply token — reporting kTimeout here would tell
-          // the reconnect path "the request may have executed, probe for
-          // it" about a request that provably never ran, double-resolving
-          // the fault (once as a lost reply, once as the crash). The token
-          // stays consumed; the fault it models was preempted by the crash.
-          record_latency();
-          TraceOutcome(request_id, kind,
-                       lose_reply ? "net.fault.lost_reply_preempted_by_crash"
-                                  : "net.server_down");
-          return Status::CommError(response.error_message);
-        }
-        std::string wire_response = response.Encode();
-        if (lose_reply) {
-          // The server executed the request, but the reply never arrives.
-          record_latency();
-          TraceOutcome(request_id, kind, "net.fault.reply_lost");
-          return Status::Timeout("no response from server");
-        }
-        bytes_received_.fetch_add(wire_response.size(),
-                                  std::memory_order_relaxed);
-        reg->GetCounter("net.bytes_received")->Increment(wire_response.size());
-        SimulateWire(wire_response.size());
-        record_latency();
-        TraceOutcome(request_id, kind, "net.response");
-        return Response::Decode(wire_response);
-      });
+  Response response = server_->Handle(decoded.value());
+  if (IsUnexecutedRejection(response)) {
+    // The server crashed between our liveness check and the dispatch: its
+    // intake rejected the request WITHOUT executing it. This is the
+    // connection-dead outcome and it takes precedence over a claimed
+    // lose-reply token — reporting kTimeout here would tell the reconnect
+    // path "the request may have executed, probe for it" about a request
+    // that provably never ran, double-resolving the fault (once as a lost
+    // reply, once as the crash). The token stays consumed; the fault it
+    // models was preempted by the crash.
+    record_latency();
+    TraceOutcome(req.request_id, req.kind,
+                 lose_reply ? "net.fault.lost_reply_preempted_by_crash"
+                            : "net.server_down");
+    return Status::CommError(response.error_message);
+  }
+  if (lose_reply) {
+    // The server executed the request, but the reply never arrives.
+    record_latency();
+    TraceOutcome(req.request_id, req.kind, "net.fault.reply_lost");
+    return Status::Timeout("no response from server");
+  }
+  std::string wire_response = response.Encode();
+  bytes_received_.fetch_add(wire_response.size(), std::memory_order_relaxed);
+  reg->GetCounter("net.bytes_received")->Increment(wire_response.size());
+  SimulateWire(wire_response.size());
+  record_latency();
+  TraceOutcome(req.request_id, req.kind, "net.response");
+  return Response::Decode(wire_response);
 }
 
 Result<std::unique_ptr<Channel>> Network::Connect(const std::string& name) {

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <map>
 #include <memory>
 #include <string>
@@ -57,11 +56,13 @@ struct ChannelStats {
 ///    to a server that may live in another process; framing, partial reads,
 ///    EOF and SIGKILL are all real.
 ///
-/// Thread safety: a Channel may be shared by concurrent callers (that is
-/// what RoundTripAsync is for). Traffic counters are atomic, and every
-/// fault-injection token is *claimed per request* at dispatch time — a
-/// single InjectLoseReplies(1) loses exactly one reply no matter how many
-/// round trips are in flight (the pre-claim design double-resolved it).
+/// Thread safety: a Channel may be shared by concurrent callers. Each round
+/// trip is synchronous — the caller sends one request and waits for its
+/// reply, as an ODBC call does; a SocketChannel serializes sharers so one
+/// request is in flight per connection. Traffic counters are atomic, and
+/// every fault-injection token is *claimed per request* — a single
+/// InjectLoseReplies(1) loses exactly one reply however many threads share
+/// the channel.
 ///
 /// Failure semantics (identical across transports — the Phoenix failure
 /// detector keys off these codes, see PhoenixDriverManager::IsCrashSignal):
@@ -77,15 +78,7 @@ class Channel {
   virtual ~Channel() = default;
 
   /// Sends a request and waits for the reply.
-  Result<Response> RoundTrip(const Request& request) {
-    return RoundTripAsync(request).get();
-  }
-
-  /// Sends a request without waiting: the server executes it while the
-  /// caller does other work. The returned future yields the same Result a
-  /// synchronous RoundTrip would have.
-  virtual std::future<Result<Response>> RoundTripAsync(
-      const Request& request) = 0;
+  virtual Result<Response> RoundTrip(const Request& request) = 0;
 
   /// The next `n` round trips fail with kCommError before reaching the
   /// server (request lost).
@@ -130,7 +123,7 @@ class InprocChannel final : public Channel {
   InprocChannel(DbServer* server, NetworkConfig config)
       : server_(server), config_(config) {}
 
-  std::future<Result<Response>> RoundTripAsync(const Request& request) override;
+  Result<Response> RoundTrip(const Request& request) override;
   DbServer* server() override { return server_; }
 
  private:

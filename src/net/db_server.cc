@@ -1,5 +1,7 @@
 #include "net/db_server.h"
 
+#include <future>
+
 #include "obs/metrics.h"
 
 namespace phoenix::net {
@@ -73,12 +75,6 @@ bool DbServer::CrashImpl(const std::function<void()>& crash_disk,
     db_.reset();
   }
   crash_disk();
-  // Stale session ids can never name a post-restart session (ids are never
-  // reused), so their serialization gates are garbage.
-  {
-    std::lock_guard<std::mutex> lk(gates_mu_);
-    gates_.clear();
-  }
   return ckpt_written;
 }
 
@@ -118,87 +114,65 @@ ServerStats DbServer::stats() const {
   s.requests_handled = requests_handled_.load(std::memory_order_relaxed);
   s.requests_rejected_down =
       requests_rejected_down_.load(std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lk(session_locks_mu_);
+  s.session_locks = session_locks_.size();
   return s;
 }
 
-std::shared_ptr<DbServer::SessionGate> DbServer::GateFor(uint64_t session_id) {
-  std::lock_guard<std::mutex> lk(gates_mu_);
-  auto& gate = gates_[session_id];
-  if (gate == nullptr) gate = std::make_shared<SessionGate>();
-  return gate;
+DbServer::SessionLock* DbServer::LockSession(uint64_t session_id) {
+  SessionLock* lock;
+  {
+    std::lock_guard<std::mutex> lk(session_locks_mu_);
+    lock = &session_locks_[session_id];
+    ++lock->users;
+  }
+  lock->mu.lock();
+  return lock;
+}
+
+void DbServer::UnlockSession(uint64_t session_id, SessionLock* lock) {
+  lock->mu.unlock();
+  std::lock_guard<std::mutex> lk(session_locks_mu_);
+  if (--lock->users == 0) session_locks_.erase(session_id);
 }
 
 Response DbServer::Handle(const Request& request) {
-  return HandleAsync(request).get();
-}
-
-std::future<Response> DbServer::HandleAsync(const Request& request) {
   requests_handled_.fetch_add(1, std::memory_order_relaxed);
   obs::MetricsRegistry::Default()
       ->GetCounter("server.requests_handled")
       ->Increment();
+  // Session 0 (connect, ping, admin) names no session state to protect.
+  if (request.session_id == 0) return Execute(request);
+  // Held while the request waits in the pool queue and runs, so a caller —
+  // not a worker — blocks on a busy session.
+  SessionLock* lock = LockSession(request.session_id);
+  Response response = Execute(request);
+  UnlockSession(request.session_id, lock);
+  return response;
+}
 
+Response DbServer::Execute(const Request& request) {
+  // Owned jointly with the task: get() can return, and this frame unwind,
+  // while the worker is still inside set_value.
   auto promise = std::make_shared<std::promise<Response>>();
   std::future<Response> future = promise->get_future();
-
-  std::shared_lock<std::shared_mutex> lk(lifecycle_mu_);
-  if (!accepting_ || db_ == nullptr || pool_ == nullptr) {
-    requests_rejected_down_.fetch_add(1, std::memory_order_relaxed);
-    Response down = Response::MakeError(Status::CommError("server is down"));
-    down.request_id = request.request_id;
-    promise->set_value(std::move(down));
-    return future;
+  bool accepted = false;
+  {
+    std::shared_lock<std::shared_mutex> lk(lifecycle_mu_);
+    accepted = accepting_ && db_ != nullptr && pool_ != nullptr &&
+               pool_->Submit([this, &request, promise] {
+                 Response response = Dispatch(request);
+                 response.request_id = request.request_id;
+                 promise->set_value(std::move(response));
+               });
   }
-
-  // Same-session ordering: tickets are issued under the session's submit
-  // lock, and the submission itself happens before that lock is released,
-  // so ticket order == queue order (the no-deadlock invariant).
-  std::shared_ptr<SessionGate> gate;
-  uint64_t ticket = 0;
-  std::unique_lock<std::mutex> submit_lk;
-  if (request.session_id != 0) {
-    gate = GateFor(request.session_id);
-    submit_lk = std::unique_lock<std::mutex>(gate->submit_mu);
-    std::lock_guard<std::mutex> g(gate->mu);
-    ticket = gate->next_ticket++;
-  }
-
-  bool accepted = pool_->Submit([this, request, promise, gate, ticket] {
-    if (gate != nullptr) {
-      std::unique_lock<std::mutex> g(gate->mu);
-      gate->cv.wait(g, [&] { return gate->now_serving == ticket; });
-    }
-    Response response = Dispatch(request);
-    response.request_id = request.request_id;
-    if (gate != nullptr) {
-      {
-        std::lock_guard<std::mutex> g(gate->mu);
-        ++gate->now_serving;
-      }
-      gate->cv.notify_all();
-    }
-    promise->set_value(std::move(response));
-  });
-
   if (!accepted) {
-    // The pool began stopping between our lifecycle check and the submit
-    // (cannot happen today — Crash() takes the lifecycle lock exclusively
-    // first — but kept correct): consume our ticket in order so later
-    // tickets never stall, then report the crash.
-    if (gate != nullptr) {
-      {
-        std::unique_lock<std::mutex> g(gate->mu);
-        gate->cv.wait(g, [&] { return gate->now_serving == ticket; });
-        ++gate->now_serving;
-      }
-      gate->cv.notify_all();
-    }
     requests_rejected_down_.fetch_add(1, std::memory_order_relaxed);
     Response down = Response::MakeError(Status::CommError("server is down"));
     down.request_id = request.request_id;
-    promise->set_value(std::move(down));
+    return down;
   }
-  return future;
+  return future.get();
 }
 
 Response DbServer::Dispatch(const Request& req) {

@@ -2,16 +2,14 @@
 #define PHOENIX_NET_DB_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <future>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <shared_mutex>
 #include <string>
+#include <unordered_map>
 
 #include "engine/database.h"
 #include "net/protocol.h"
@@ -54,6 +52,8 @@ struct ServerOptions {
 struct ServerStats {
   uint64_t requests_handled = 0;
   uint64_t requests_rejected_down = 0;  ///< arrived while crashed
+  /// Sessions with a request queued or running right now; 0 when idle.
+  uint64_t session_locks = 0;
 };
 
 /// One database server *process*. Owns a Database over a SimDisk that it
@@ -61,10 +61,11 @@ struct ServerStats {
 ///
 /// Concurrency model (DESIGN.md §Concurrency): every request is dispatched
 /// onto a fixed WorkerPool. Requests from *different* sessions execute
-/// concurrently; requests carrying the *same* session id are serialized in
-/// submission order by a per-session ticket gate, so one session's
-/// statements never reorder. Handle() is the synchronous wrapper around
-/// HandleAsync() and is safe to call from any number of threads.
+/// concurrently; requests carrying the *same* session id exclude each other
+/// through a per-session mutex, so one session's state is never touched by
+/// two workers at once. Order within a session is the client's: it waits
+/// for each reply before sending the next request. Handle() is safe to call
+/// from any number of threads.
 ///
 /// Crash() models the machine/process failure the paper recovers from:
 /// intake stops, the worker pool drains gracefully (accepted requests
@@ -112,11 +113,6 @@ class DbServer {
   /// request has been executed by a pool worker (or rejected).
   Response Handle(const Request& request);
 
-  /// Fire-and-collect variant: the request is queued for a pool worker and
-  /// the future resolves when its response is ready. Same-session requests
-  /// submitted in order execute in order.
-  std::future<Response> HandleAsync(const Request& request);
-
   eng::Database* database() { return db_.get(); }
   storage::SimDisk* disk() { return disk_; }
 
@@ -127,19 +123,11 @@ class DbServer {
   WorkerPool* pool() { return pool_.get(); }
 
  private:
-  /// Serializes one session's requests in ticket (submission) order.
-  ///
-  /// Two mutexes on purpose: submit_mu is held across ticket issuance AND
-  /// pool submission (so ticket order == queue order), while mu guards only
-  /// the wait/advance handshake. If one lock did both jobs, a submitter
-  /// blocked on a full pool queue would hold the lock a *worker* needs to
-  /// advance now_serving — deadlock with a single worker thread.
-  struct SessionGate {
-    std::mutex submit_mu;       ///< held across ticket issue + Submit()
-    std::mutex mu;              ///< guards next_ticket / now_serving
-    std::condition_variable cv;
-    uint64_t next_ticket = 0;   ///< next ticket to hand out
-    uint64_t now_serving = 0;   ///< ticket allowed to run
+  /// One session's mutual exclusion. The map entry lives only while
+  /// `users` > 0, so ids that are never opened, or long closed, cost nothing.
+  struct SessionLock {
+    std::mutex mu;
+    size_t users = 0;  ///< requests waiting for or holding `mu`
   };
 
   Response Dispatch(const Request& request);
@@ -149,7 +137,11 @@ class DbServer {
   /// discard unsynced bytes.
   bool CrashImpl(const std::function<void()>& crash_disk,
                  std::optional<eng::CheckpointCrashPoint> mid_checkpoint);
-  std::shared_ptr<SessionGate> GateFor(uint64_t session_id);
+  /// Runs `request` on the pool and waits for its response; "server is
+  /// down" if intake is closed.
+  Response Execute(const Request& request);
+  SessionLock* LockSession(uint64_t session_id);
+  void UnlockSession(uint64_t session_id, SessionLock* lock);
 
   storage::SimDisk* disk_;
   ServerOptions opts_;
@@ -163,8 +155,8 @@ class DbServer {
   std::unique_ptr<eng::Database> db_;
   std::unique_ptr<WorkerPool> pool_;
 
-  std::mutex gates_mu_;
-  std::map<uint64_t, std::shared_ptr<SessionGate>> gates_;
+  mutable std::mutex session_locks_mu_;
+  std::unordered_map<uint64_t, SessionLock> session_locks_;
 
   std::atomic<uint64_t> epoch_{0};
   uint64_t next_session_id_ = 1;  ///< survives restarts: ids never repeat

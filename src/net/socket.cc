@@ -1,7 +1,9 @@
 #include "net/socket.h"
 
 #include <arpa/inet.h>
+#include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <cstring>
 #include <fcntl.h>
 #include <netinet/in.h>
@@ -110,6 +112,14 @@ Result<size_t> Socket::RecvSome(std::string* out, size_t cap) {
     out->resize(static_cast<size_t>(n));
     return static_cast<size_t>(n);
   }
+}
+
+bool Socket::WaitReadable(uint64_t timeout_ms) {
+  pollfd pfd{fd_, POLLIN, 0};
+  int pr = ::poll(&pfd, 1,
+                  static_cast<int>(std::min<uint64_t>(timeout_ms, INT_MAX)));
+  // A poll error other than EINTR is left for the recv to report.
+  return pr > 0 || (pr < 0 && errno != EINTR);
 }
 
 Result<Socket> Dial(const std::string& endpoint, uint64_t timeout_ms) {

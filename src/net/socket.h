@@ -48,6 +48,10 @@ class Socket {
   /// the byte count; 0 means clean EOF. kCommError on reset.
   Result<size_t> RecvSome(std::string* out, size_t cap = 64 * 1024);
 
+  /// Waits up to `timeout_ms` for RecvSome to have something to report:
+  /// data, EOF or an error. false = the wait ran out (or was interrupted).
+  bool WaitReadable(uint64_t timeout_ms);
+
  private:
   int fd_ = -1;
 };

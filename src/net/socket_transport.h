@@ -1,12 +1,9 @@
 #ifndef PHOENIX_NET_SOCKET_TRANSPORT_H_
 #define PHOENIX_NET_SOCKET_TRANSPORT_H_
 
-#include <condition_variable>
+#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <future>
 #include <list>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -20,56 +17,46 @@ namespace phoenix::net {
 
 /// The real-wire Channel: one TCP or Unix-domain stream to a DbServer that
 /// (usually) lives in another process. Same protocol bytes as the
-/// in-process transport, wrapped in PHXF frames (framing.h); replies are
-/// demultiplexed to their waiters by correlation id, so any number of
-/// threads can have round trips in flight on one connection.
+/// in-process transport, wrapped in PHXF frames (framing.h). A round trip
+/// sends its request and reads its own reply on the calling thread; a
+/// per-channel mutex keeps one request in flight, so threads sharing a
+/// channel take turns and the channel itself starts no thread.
 ///
 /// Failure mapping (the part the Phoenix failure detector depends on):
-///  - EOF / ECONNRESET / send failure → every in-flight round trip resolves
-///    kCommError exactly once, and the channel stays dead (reconnect = dial
-///    a new channel via Network::Connect).
-///  - rpc_timeout_ms elapses with the connection still up → THAT round trip
-///    resolves kTimeout ("reply lost"); others keep waiting.
-/// The two must not double-fire on one request: whoever pops the pending
-/// entry (reader thread on reply/EOF, or the waiter on timeout) owns the
-/// resolution — see the pending-map comments in the .cc.
+///  - EOF / ECONNRESET / send failure / framing error → kCommError, and the
+///    channel stays dead (reconnect = dial a new channel via
+///    Network::Connect).
+///  - rpc_timeout_ms elapses with the connection still up → kTimeout ("reply
+///    lost"). The reply may still arrive later; the next round trip skips
+///    any frame whose correlation id is not its own.
 ///
 /// Fault injection works transport-side like the in-process channel: a
 /// dropped request fails before send; a lost reply is sent and executed,
-/// but the reply frame is discarded on arrival and the waiter sees
+/// but the reply frame is discarded on arrival and the caller sees
 /// kTimeout.
 class SocketChannel final : public Channel {
  public:
-  SocketChannel(Socket sock, NetworkConfig config);
-  ~SocketChannel() override;
+  SocketChannel(Socket sock, NetworkConfig config)
+      : sock_(std::move(sock)), config_(config) {}
 
-  std::future<Result<Response>> RoundTripAsync(const Request& request) override;
+  Result<Response> RoundTrip(const Request& request) override;
   void Disconnect() override;
 
  private:
-  struct PendingSingle {
-    std::promise<Result<Response>> promise;
-    bool discard = false;  ///< lose-reply token claimed at send time
-  };
-
-  void ReaderLoop();
-  void OnFrame(const Frame& frame);
-  /// Connection death: resolves every pending round trip kCommError (each
-  /// exactly once) and poisons the channel for future sends.
-  void FailAll(const std::string& why);
-  Status SendFrame(FrameType type, uint64_t corr_id,
-                   const std::string& payload);
+  /// Reads frames until the reply to `corr_id` arrives, the deadline passes
+  /// (kTimeout) or the stream dies (kCommError). Called under mu_.
+  Result<Frame> ReadReply(uint64_t corr_id);
+  /// Connection death: poisons the channel for every later round trip.
+  Status Fail(const std::string& why);
 
   Socket sock_;
   NetworkConfig config_;
 
-  std::mutex mu_;  ///< pending map + dead flag
-  std::map<uint64_t, std::shared_ptr<PendingSingle>> pending_;
+  std::mutex mu_;  ///< one round trip at a time; guards everything below
+  FrameAssembler assembler_;
+  std::string chunk_;
   bool dead_ = false;
   std::string dead_reason_;
-
-  std::mutex write_mu_;  ///< one frame at a time on the wire
-  std::thread reader_;
 };
 
 /// Dials `endpoint` and wraps the stream in a SocketChannel. kCommError on
@@ -78,12 +65,10 @@ class SocketChannel final : public Channel {
 Result<std::unique_ptr<Channel>> ConnectSocketChannel(
     const std::string& endpoint, const NetworkConfig& config);
 
-/// Accept side: owns a listening socket and, per connection, a reader
-/// thread (frames → DbServer::HandleAsync, called in arrival order so the
-/// per-session ticket gates see client submission order) and a writer
-/// thread (completed responses → frames, FIFO per connection). Runs inside
-/// phoenixd, and inside tests that want a real wire without a child
-/// process.
+/// Accept side: owns a listening socket and one thread per connection. The
+/// thread reads a request frame, runs it through DbServer::Handle and
+/// writes the reply before reading the next. Runs inside phoenixd, and
+/// inside tests that want a real wire without a child process.
 class SocketServer {
  public:
   explicit SocketServer(DbServer* server) : server_(server) {}
@@ -98,24 +83,14 @@ class SocketServer {
   void Shutdown();
 
  private:
-  struct OutboxItem {
-    uint64_t corr_id = 0;
-    /// The pending HandleAsync reply, or a ready decode-error reply.
-    std::future<Response> future;
-  };
   struct Conn {
     Socket sock;
-    std::mutex mu;
-    std::condition_variable cv;
-    std::deque<OutboxItem> outbox;
-    bool closed = false;  ///< reader gone; writer drains then exits
-    std::thread reader;
-    std::thread writer;
+    std::thread thread;
+    std::atomic<bool> done{false};  ///< thread returned; safe to join
   };
 
   void AcceptLoop();
-  void ConnReader(Conn* conn);
-  void ConnWriter(Conn* conn);
+  void ServeConn(Conn* conn);
 
   DbServer* server_;
   Listener listener_;

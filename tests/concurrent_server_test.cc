@@ -3,11 +3,13 @@
 // The invariants under test:
 //   - no DML outcome is lost or duplicated (a success the client saw is
 //     durable; a key is never inserted twice),
-//   - one session's statements execute in submission order,
+//   - requests naming one session id exclude each other, and the server
+//     keeps no per-session lock state once they finish,
 //   - a single injected fault token fires exactly once regardless of how
-//     many requests are in flight (the per-request claim regression).
+//     many threads share the channel (the per-request claim regression).
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -163,43 +165,64 @@ TEST(ConcurrentServer, WriteHeavyAutoCheckpointFiresAndLosesNothing) {
   EXPECT_EQ(res.value()[0].rows[0][0].AsInt64(), kThreads * kOpsEach);
 }
 
-TEST(ConcurrentServer, SameSessionStatementOrderPreserved) {
-  TestCluster cluster;
+TEST(ConcurrentServer, SharedSessionIdRequestsExcludeEachOther) {
+  // Any connection may name any session id; requests naming the same one
+  // must still never run side by side on that session's state.
+  ServerOptions opts;
+  opts.worker_threads = 4;
+  TestCluster cluster(opts);
   auto chan = cluster.network.Connect("testdb").take();
-  auto conn = chan->RoundTrip(Connect("seq"));
+  auto conn = chan->RoundTrip(Connect("shared"));
   ASSERT_TRUE(conn.ok());
   uint64_t sid = conn->session_id;
   PHX_ASSERT_OK(Try(chan.get(),
                     Exec(sid, "CREATE TABLE S (K INTEGER PRIMARY KEY, "
-                              "V INTEGER); INSERT INTO S VALUES (1, 1)")));
+                              "V INTEGER); INSERT INTO S VALUES (1, 0)")));
 
-  // Fire a non-commutative update chain asynchronously: V = V*2 and V = V+1
-  // alternating. Any reordering changes the final value.
-  constexpr int kSteps = 40;
-  int64_t expected = 1;
-  std::vector<std::future<Result<Response>>> futures;
-  for (int i = 0; i < kSteps; ++i) {
-    if (i % 2 == 0) {
-      futures.push_back(chan->RoundTripAsync(
-          Exec(sid, "UPDATE S SET V = V * 2 WHERE K = 1")));
-      expected *= 2;
-    } else {
-      futures.push_back(chan->RoundTripAsync(
-          Exec(sid, "UPDATE S SET V = V + 1 WHERE K = 1")));
-      expected += 1;
-    }
+  constexpr int kThreads = 8;
+  constexpr int kStepsEach = 20;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      auto own = cluster.network.Connect("testdb").take();
+      for (int i = 0; i < kStepsEach; ++i) {
+        // A two-statement transaction: interleaved with another request on
+        // the same session it would commit or roll back the other's work.
+        Status st = Try(own.get(), Exec(sid, "BEGIN TRANSACTION; UPDATE S SET "
+                                             "V = V + 1 WHERE K = 1; COMMIT"));
+        if (!st.ok()) failures.fetch_add(1);
+      }
+    });
   }
-
-  for (auto& f : futures) {
-    auto r = f.get();
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    PHX_ASSERT_OK(r.value().ToStatus());
-  }
-
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
   auto check = chan->RoundTrip(Exec(sid, "SELECT V FROM S WHERE K = 1"));
   ASSERT_TRUE(check.ok());
   ASSERT_EQ(check->results[0].rows.size(), 1u);
-  EXPECT_EQ(check->results[0].rows[0][0].AsInt64(), expected);
+  EXPECT_EQ(check->results[0].rows[0][0].AsInt64(), kThreads * kStepsEach);
+  EXPECT_EQ(cluster.server.stats().session_locks, 0u);
+}
+
+TEST(ConcurrentServer, SessionLockStateIsBoundedByRequestsInFlight) {
+  // Lock entries exist only while a request for the session is queued or
+  // running: session churn and ids that were never opened leave nothing.
+  TestCluster cluster;
+  auto chan = cluster.network.Connect("testdb").take();
+  constexpr int kCycles = 1000;
+  for (int i = 0; i < kCycles; ++i) {
+    auto conn = chan->RoundTrip(Connect("churn"));
+    ASSERT_TRUE(conn.ok());
+    Request bye;
+    bye.kind = Request::Kind::kDisconnect;
+    bye.session_id = conn->session_id;
+    PHX_ASSERT_OK(Try(chan.get(), bye));
+  }
+  for (int i = 0; i < kCycles; ++i) {
+    Status st = Try(chan.get(), Exec((uint64_t{1} << 40) + i, "SELECT 1"));
+    EXPECT_FALSE(st.ok());
+  }
+  EXPECT_EQ(cluster.server.stats().session_locks, 0u);
 }
 
 TEST(ConcurrentServer, CrashRestartMidFlightLosesNoAcknowledgedWrite) {
@@ -294,28 +317,30 @@ TEST(ConcurrentServer, InjectedLostReplyFiresExactlyOnce) {
 
   // Regression: with the pre-claim design, two concurrent round trips could
   // both observe the same injected token and both time out. The token is
-  // now claimed atomically per request — exactly one of N in-flight
-  // requests loses its reply.
-  constexpr int kInFlight = 8;
+  // now claimed atomically per request — exactly one of N threads sharing
+  // the channel loses its reply.
+  constexpr int kThreads = 8;
   chan->InjectLoseReplies(1);
-  std::vector<std::future<Result<Response>>> futures;
-  for (int i = 0; i < kInFlight; ++i) {
-    Request ping;
-    ping.kind = Request::Kind::kPing;
-    futures.push_back(chan->RoundTripAsync(ping));
+  std::atomic<int> timeouts{0}, oks{0}, others{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&] {
+      Request ping;
+      ping.kind = Request::Kind::kPing;
+      auto r = chan->RoundTrip(ping);
+      if (r.ok()) {
+        oks.fetch_add(1);
+      } else if (r.status().code() == StatusCode::kTimeout) {
+        timeouts.fetch_add(1);
+      } else {
+        others.fetch_add(1);
+      }
+    });
   }
-  int timeouts = 0, oks = 0;
-  for (auto& f : futures) {
-    auto r = f.get();
-    if (r.ok()) {
-      ++oks;
-    } else {
-      EXPECT_EQ(r.status().code(), StatusCode::kTimeout);
-      ++timeouts;
-    }
-  }
-  EXPECT_EQ(timeouts, 1);
-  EXPECT_EQ(oks, kInFlight - 1);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(timeouts.load(), 1);
+  EXPECT_EQ(oks.load(), kThreads - 1);
+  EXPECT_EQ(others.load(), 0);
   EXPECT_EQ(chan->stats().faults_injected, 1u);
 }
 
@@ -323,27 +348,42 @@ TEST(ConcurrentServer, WorkerPoolDrainsAcceptedTasksOnCrash) {
   ServerOptions opts;
   opts.worker_threads = 2;
   TestCluster cluster(opts);
-  auto chan = cluster.network.Connect("testdb").take();
-  auto conn = chan->RoundTrip(Connect("drain"));
-  ASSERT_TRUE(conn.ok());
-  uint64_t sid = conn->session_id;
-  PHX_ASSERT_OK(Try(chan.get(),
-                    Exec(sid, "CREATE TABLE D (K INTEGER PRIMARY KEY)")));
+  {
+    auto chan = cluster.network.Connect("testdb").take();
+    auto conn = chan->RoundTrip(Connect("drain"));
+    ASSERT_TRUE(conn.ok());
+    PHX_ASSERT_OK(Try(chan.get(), Exec(conn->session_id,
+                                       "CREATE TABLE D (K INTEGER PRIMARY KEY)")));
+  }
 
-  // Queue up async work, then crash. Every future must resolve — either
-  // with the executed result (beat the crash) or "server is down" — and
-  // none may hang or be dropped on the floor.
-  std::vector<std::future<Result<Response>>> futures;
-  for (int i = 0; i < 20; ++i) {
-    futures.push_back(chan->RoundTripAsync(
-        Exec(sid, "INSERT INTO D VALUES (" + std::to_string(i) + ")")));
+  // Clients on their own connections insert until the crash stops them.
+  // Every round trip must resolve — with the executed result (it beat the
+  // crash) or "server is down" — and none may hang or be dropped.
+  constexpr int kThreads = 4;
+  std::atomic<int> acknowledged{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto chan = cluster.network.Connect("testdb").take();
+      auto conn = chan->RoundTrip(Connect("d" + std::to_string(t)));
+      if (!conn.ok() || !conn->ToStatus().ok()) return;
+      for (int i = 0;; ++i) {
+        Status st = Try(chan.get(),
+                        Exec(conn->session_id, "INSERT INTO D VALUES (" +
+                                                   std::to_string(t * 100000 + i) +
+                                                   ")"));
+        if (!st.ok()) return;
+        acknowledged.fetch_add(1);
+      }
+    });
+  }
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (acknowledged.load() < 20 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
   }
   cluster.server.Crash();
-  int executed = 0;
-  for (auto& f : futures) {
-    auto r = f.get();
-    if (r.ok() && r->ToStatus().ok()) ++executed;
-  }
+  for (auto& t : threads) t.join();
+  EXPECT_GE(acknowledged.load(), 20);
   PHX_ASSERT_OK(cluster.server.Restart());
 
   // The durable row count equals the number of acknowledged inserts.
@@ -352,7 +392,7 @@ TEST(ConcurrentServer, WorkerPoolDrainsAcceptedTasksOnCrash) {
   ASSERT_TRUE(vsid.ok());
   auto res = db->ExecuteScript(*vsid, "SELECT COUNT(*) AS N FROM D");
   ASSERT_TRUE(res.ok());
-  EXPECT_EQ(res.value()[0].rows[0][0].AsInt64(), executed);
+  EXPECT_EQ(res.value()[0].rows[0][0].AsInt64(), acknowledged.load());
 }
 
 }  // namespace

@@ -261,6 +261,25 @@ TEST_F(ExecutorTest, CrossJoinWhenNoEquiPredicate) {
   EXPECT_EQ(r.rows.size(), 6u);
 }
 
+TEST_F(ExecutorTest, SingleTableWhereWithUnknownColumnIsAnError) {
+  // Regression: the single-table scan used to drop a conjunct it could not
+  // resolve and return every row; it must fail like the two-table form.
+  MakeSample();
+  for (const char* sql :
+       {"SELECT ID FROM EMP WHERE NOSUCH = 1",
+        "SELECT ID FROM EMP WHERE Z.ID = 1",
+        "SELECT ID FROM EMP WHERE ID = 1 AND NOSUCH = 2",
+        "SELECT COUNT(*) AS N FROM EMP WHERE NOSUCH = 1",
+        "SELECT ID FROM EMP WHERE NOSUCH = 1 ORDER BY ID LIMIT 2"}) {
+    Status st = TryExec(sql);
+    EXPECT_EQ(st.code(), StatusCode::kSqlError) << sql << " -> "
+                                                 << st.ToString();
+  }
+  // Qualified references that do resolve still filter.
+  EXPECT_EQ(Exec("SELECT ID FROM EMP WHERE EMP.ID = 2").rows.size(), 1u);
+  EXPECT_EQ(Exec("SELECT ID FROM EMP E WHERE E.DEPT = 'eng'").rows.size(), 2u);
+}
+
 TEST_F(ExecutorTest, SelfJoinWithAliases) {
   MakeSample();
   StatementResult r = Exec(

@@ -8,10 +8,13 @@
 #include "net/socket_transport.h"
 
 #include "common/rng.h"
+#include "obs/metrics.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
-#include <future>
+#include <filesystem>
+#include <thread>
 #include <unistd.h>
 
 #include "gtest/gtest.h"
@@ -459,12 +462,13 @@ std::atomic<int> g_sock_seq{0};
 /// sandbox denies AF_UNIX sockets entirely; tests skip.
 struct SocketFixture {
   storage::SimDisk disk;
-  DbServer server{&disk};
+  DbServer server;
   SocketServer sock{&server};
   Network network;
   std::string path;
   bool ok = false;
-  SocketFixture() {
+  explicit SocketFixture(ServerOptions opts = {})
+      : server(&disk, std::move(opts)) {
     path = "/tmp/phx_net_test_" + std::to_string(::getpid()) + "_" +
            std::to_string(g_sock_seq.fetch_add(1)) + ".sock";
     EXPECT_TRUE(server.Start().ok());
@@ -509,23 +513,105 @@ TEST(SocketTransport, ConnectExecuteOverUnixSocket) {
 }
 
 TEST(SocketTransport, ConcurrentRoundTripsDemuxByCorrelationId) {
+  // Threads sharing one channel take turns on the wire; each still gets the
+  // reply to its own request.
   SocketFixture fx;
   SKIP_IF_NO_SOCKETS(fx);
   auto ch = fx.Connect();
   uint64_t sid = fx.Call(ch.get(), ConnectReq()).session_id;
   fx.Call(ch.get(), ExecReq(sid, "CREATE TABLE C (A INTEGER)"));
-  std::vector<std::future<Result<Response>>> futs;
-  for (int i = 0; i < 16; ++i) {
-    futs.push_back(ch->RoundTripAsync(
-        ExecReq(sid, "INSERT INTO C VALUES (" + std::to_string(i) + ")")));
+  constexpr int kThreads = 16;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      Request req = ExecReq(sid, "INSERT INTO C VALUES (" + std::to_string(i) +
+                                     "); SELECT A FROM C WHERE A = " +
+                                     std::to_string(i));
+      req.request_id = 1000 + i;
+      auto r = ch->RoundTrip(req);
+      if (!r.ok() || r->kind != Response::Kind::kResults ||
+          r->request_id != req.request_id || r->results.size() != 2 ||
+          r->results[1].rows.size() != 1 ||
+          r->results[1].rows[0][0].AsInt64() != i) {
+        mismatches.fetch_add(1);
+      }
+    });
   }
-  for (auto& f : futs) {
-    auto r = f.get();
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(r->kind, Response::Kind::kResults);
-  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
   Response sel = fx.Call(ch.get(), ExecReq(sid, "SELECT COUNT(*) AS C FROM C"));
-  EXPECT_EQ(sel.results[0].rows[0][0].AsInt64(), 16);
+  EXPECT_EQ(sel.results[0].rows[0][0].AsInt64(), kThreads);
+}
+
+TEST(SocketTransport, LateReplyIsSkippedByTheNextRoundTrip) {
+  // A ping that outlives its deadline times out; its reply arrives later and
+  // the next round trip on the channel skips it and returns its own reply.
+  ServerOptions opts;
+  opts.pre_dispatch_hook = [](const Request& req) {
+    if (req.kind == Request::Kind::kPing) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(750));
+    }
+  };
+  SocketFixture fx(std::move(opts));
+  SKIP_IF_NO_SOCKETS(fx);
+  fx.network.config()->rpc_timeout_ms = 250;
+  auto ch = fx.Connect();
+  auto* skipped =
+      obs::MetricsRegistry::Default()->GetCounter("net.late_replies_skipped");
+  uint64_t skipped_before = skipped->Value();
+  Request ping;
+  ping.kind = Request::Kind::kPing;
+  auto late = ch->RoundTrip(ping);
+  ASSERT_FALSE(late.ok());
+  EXPECT_TRUE(late.status().IsTimeout()) << late.status().ToString();
+  // Let the late pong land in the socket buffer before the next request.
+  std::this_thread::sleep_for(std::chrono::milliseconds(1000));
+  Response conn = fx.Call(ch.get(), ConnectReq());
+  EXPECT_EQ(conn.kind, Response::Kind::kConnected);
+  EXPECT_EQ(skipped->Value() - skipped_before, 1u);
+}
+
+size_t EntryCount(const char* dir) {
+  size_t n = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+size_t ThreadCount() { return EntryCount("/proc/self/task"); }
+
+TEST(SocketTransport, OneServerThreadPerConnectionAndNoneOnTheClient) {
+  SocketFixture fx;
+  SKIP_IF_NO_SOCKETS(fx);
+  const size_t threads_before = ThreadCount();
+  const size_t fds_before = EntryCount("/proc/self/fd");
+  Request ping;
+  ping.kind = Request::Kind::kPing;
+  constexpr size_t kChannels = 8;
+  std::vector<std::unique_ptr<Channel>> channels;
+  for (size_t i = 0; i < kChannels; ++i) {
+    channels.push_back(fx.Connect());
+    // The reply proves the server's connection thread is up.
+    EXPECT_EQ(fx.Call(channels.back().get(), ping).kind,
+              Response::Kind::kPong);
+  }
+  EXPECT_EQ(ThreadCount() - threads_before, kChannels);
+  channels.clear();
+  // Each hang-up ends its connection thread.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (ThreadCount() > threads_before &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(ThreadCount(), threads_before);
+  // The next accept releases the finished connections' fds: only the new
+  // connection's two ends remain.
+  auto last = fx.Connect();
+  EXPECT_EQ(fx.Call(last.get(), ping).kind, Response::Kind::kPong);
+  EXPECT_EQ(EntryCount("/proc/self/fd") - fds_before, 2u);
 }
 
 TEST(SocketTransport, DropRequestFailsBeforeTheWire) {

@@ -569,18 +569,14 @@ TEST_F(PhoenixBasicTest, DynamicCursorSeesInsertsInRange) {
   EXPECT_EQ(seen, (std::vector<int64_t>{1, 2, 3, 5}));
 }
 
-TEST_F(PhoenixBasicTest, DisabledPhoenixBehavesLikePlainDm) {
-  PhoenixConfig off;
-  off.enabled = false;
-  PhoenixDriverManager plain(&cluster_.network, off);
-  Henv* env = plain.AllocEnv();
-  Hdbc* dbc = plain.AllocConnect(env);
-  ASSERT_EQ(plain.Connect(dbc, "testdb", "x"), SqlReturn::kSuccess);
-  EXPECT_EQ(PhoenixDriverManager::conn_state(dbc), nullptr);
-  auto rows = MustQuery(&plain, dbc, "SELECT K FROM T ORDER BY K");
-  EXPECT_EQ(rows.size(), 5u);
-  EXPECT_EQ(plain.stats().materialized_results, 0u);
-  plain.Disconnect(dbc);
+TEST_F(PhoenixBasicTest, UnknownColumnInWhereReachesTheApplication) {
+  // The engine's unresolvable-predicate error surfaces through the Phoenix
+  // read path; the application gets the error, not T's rows.
+  Hstmt* stmt = dm_->AllocStmt(dbc_);
+  EXPECT_EQ(dm_->ExecDirect(stmt, "SELECT K FROM T WHERE NOSUCH = 1"),
+            SqlReturn::kError);
+  EXPECT_EQ(DriverManager::Diag(stmt).code(), StatusCode::kSqlError);
+  EXPECT_NE(dm_->Fetch(stmt), SqlReturn::kSuccess);
 }
 
 TEST_F(PhoenixBasicTest, GarbageSqlPassedThroughForServerDiagnostics) {
