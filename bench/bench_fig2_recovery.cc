@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -186,12 +187,15 @@ void Main() {
   PrintRule();
 }
 
+constexpr char kRecoveryParallelJson[] = "BENCH_recovery_parallel.json";
+
 /// One JSON object line per sweep point, appended to
-/// BENCH_recovery_parallel.json (and tagged on stdout for scrapers) —
-/// the serial-vs-partitioned replay record the PR acceptance reads.
+/// BENCH_recovery_parallel.json (and tagged on stdout for scrapers) — the
+/// serial-vs-partitioned replay record. The sweep truncates the file first,
+/// so it holds exactly one run.
 void AppendRecoveryParallelJson(const std::string& json) {
   std::printf("\nBENCH_RECOVERY_PARALLEL_JSON %s\n", json.c_str());
-  if (std::FILE* f = std::fopen("BENCH_recovery_parallel.json", "a")) {
+  if (std::FILE* f = std::fopen(kRecoveryParallelJson, "a")) {
     std::fputs(json.c_str(), f);
     std::fputc('\n', f);
     std::fclose(f);
@@ -211,6 +215,9 @@ void WalReplaySweep() {
   constexpr uint64_t kThreads = 4;
   constexpr int kOpsPerCommit = 4;
   constexpr int kReplayReps = 3;  // best-of, to shed scheduler noise
+
+  if (std::FILE* f = std::fopen(kRecoveryParallelJson, "w")) std::fclose(f);
+  const unsigned nproc = std::thread::hardware_concurrency();
 
   std::printf("\nParallel WAL replay sweep (%d tables, 2 secondary indexes "
               "each, best of %d replays)\n",
@@ -314,6 +321,7 @@ void WalReplaySweep() {
     AppendRecoveryParallelJson(
         "{\"bench\":\"recovery_parallel\",\"records\":" +
         std::to_string(records) + ",\"threads\":" + std::to_string(kThreads) +
+        ",\"nproc\":" + std::to_string(nproc) +
         ",\"wal_bytes\":" + std::to_string(static_cast<uint64_t>(wal_gb * 1e9)) +
         ",\"scan_only_s\":" + std::to_string(scan_only) +
         ",\"serial_s\":" + std::to_string(serial) +

@@ -1,5 +1,6 @@
 // Google-benchmark microbenchmarks for the substrate pieces: lexer/parser,
-// expression evaluation, engine DML and scans, WAL append, wire codec.
+// expression evaluation, engine DML and scans, table inserts and checkpoint
+// image decoding, WAL append, wire codec.
 // These are not paper artifacts; they exist to keep the substrate honest
 // (regressions here distort every paper-level measurement).
 
@@ -7,9 +8,11 @@
 
 #include "bench_util.h"
 
+#include "common/rng.h"
 #include "engine/database.h"
 #include "net/protocol.h"
 #include "sql/parser.h"
+#include "storage/table_store.h"
 #include "storage/wal.h"
 
 namespace phoenix {
@@ -168,6 +171,64 @@ void BM_WalAppendCommit(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(disk.bytes_written()));
 }
 BENCHMARK(BM_WalAppendCommit);
+
+// perfbench's KV table: INTEGER PRIMARY KEY, INTEGER, 12-char VARCHAR.
+Schema KvBenchSchema() {
+  Schema s;
+  s.AddColumn(Column{"ID", DataType::kInt64, false});
+  s.AddColumn(Column{"VAL", DataType::kInt64, true});
+  s.AddColumn(Column{"PAD", DataType::kString, true});
+  return s;
+}
+
+Row KvBenchRow(int64_t k, Rng* rng) {
+  return Row{Value::Int64(k), Value::Int64(rng->NextRange(0, 1000000)),
+             Value::String(rng->NextString(12))};
+}
+
+// Storage-layer insert with keys and RowIds both past the last ones: the
+// shape of checkpoint decode, WAL replay and bulk INSERT ... VALUES.
+void BM_TableInsertAppend(benchmark::State& state) {
+  const int64_t n = state.range(0);
+  Rng rng(7);
+  std::vector<Row> rows;
+  for (int64_t k = 0; k < n; ++k) rows.push_back(KvBenchRow(k, &rng));
+  for (auto _ : state) {
+    storage::Table t("KV", KvBenchSchema(), {0}, false);
+    for (const Row& row : rows) {
+      auto rid = t.Insert(row);
+      benchmark::DoNotOptimize(rid);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_TableInsertAppend)->Arg(20000);
+
+// Restart's dominant step: decoding perfbench's 20k-row KV checkpoint image
+// back into a table (Table::DecodeSnapshot, which inserts row by row).
+void BM_DecodeCheckpointImage(benchmark::State& state) {
+  constexpr int64_t kRows = 20000;
+  Rng rng(7);
+  storage::Table src("KV", KvBenchSchema(), {0}, false);
+  for (int64_t k = 0; k < kRows; ++k) (void)src.Insert(KvBenchRow(k, &rng));
+  Encoder enc;
+  storage::TableImageEncoder out(&enc, src, src.next_rid());
+  for (const auto& [rid, row] : src.rows()) out.AddRow(rid, row);
+  out.Finish(src.IndexDefs());
+  for (auto _ : state) {
+    Decoder dec(enc.data());
+    auto t = storage::Table::DecodeSnapshot(&dec);
+    if (!t.ok() || (*t)->num_rows() != kRows) {
+      state.SkipWithError("image did not decode");
+      break;
+    }
+    benchmark::DoNotOptimize(t);
+  }
+  state.SetItemsProcessed(state.iterations() * kRows);
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(enc.data().size()));
+}
+BENCHMARK(BM_DecodeCheckpointImage)->Unit(benchmark::kMillisecond);
 
 void BM_WireCodecRow(benchmark::State& state) {
   net::Response resp;

@@ -1,11 +1,13 @@
 #include "net/process_server.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstring>
 #include <poll.h>
 #include <spawn.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 #include <vector>
@@ -257,17 +259,7 @@ Status ProcessServerHandle::Terminate(double timeout_s) {
     pid = pid_;
   }
   ::kill(pid, SIGTERM);
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(
-                      static_cast<int64_t>(timeout_s * 1000));
-  while (std::chrono::steady_clock::now() < deadline) {
-    ReapIfExited(/*block=*/false);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      if (reaped_) return Status::Ok();
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
+  if (WaitExit(timeout_s)) return Status::Ok();
   ::kill(pid, SIGKILL);
   ReapIfExited(/*block=*/true);
   return Status::Timeout("phoenixd ignored SIGTERM; killed");
@@ -346,14 +338,34 @@ bool ProcessServerHandle::WaitRendezvousKill(double timeout_s) {
   // "The child died" is the observable; whether the armed rendezvous
   // specifically fired is rendezvous_kills(). (A child can also die by the
   // failsafe _exit if the parent lost the race — still a death.)
-  auto deadline = std::chrono::steady_clock::now() +
-                  std::chrono::milliseconds(
-                      static_cast<int64_t>(timeout_s * 1000));
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (!running()) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  return WaitExit(timeout_s);
+}
+
+bool ProcessServerHandle::WaitExit(double timeout_s) {
+  // A pidfd turns readable the moment the child exits, so the wait wakes on
+  // the death itself. It is opened under mu_, where the child cannot be
+  // reaped (and its pid reused) in between.
+  int pidfd = -1;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    if (pid_ <= 0 || reaped_) return true;
+    pidfd = static_cast<int>(::syscall(SYS_pidfd_open, pid_, 0));
   }
-  return false;
+  if (pidfd >= 0) {
+    auto deadline = std::chrono::steady_clock::now() +
+                    std::chrono::milliseconds(
+                        static_cast<int64_t>(timeout_s * 1000));
+    while (true) {
+      int64_t left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                         deadline - std::chrono::steady_clock::now())
+                         .count();
+      pollfd pfd{pidfd, POLLIN, 0};
+      int ready = ::poll(&pfd, 1, static_cast<int>(std::max<int64_t>(0, left)));
+      if (ready >= 0 || errno != EINTR) break;
+    }
+    ::close(pidfd);
+  }
+  return !running();
 }
 
 }  // namespace phoenix::net

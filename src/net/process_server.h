@@ -127,8 +127,8 @@ class ProcessServerHandle {
   /// notify pipe EOFs. One-shot; consumed by the next Start().
   void ArmKillOnNextStart() { arm_on_start_ = true; }
 
-  /// Blocks until an armed rendezvous kill happened (true) or `timeout_s`
-  /// passed / the child died some other way (false).
+  /// Blocks until the child died (true) or `timeout_s` passed (false);
+  /// rendezvous_kills() tells whether the armed rendezvous killed it.
   bool WaitRendezvousKill(double timeout_s);
 
   bool running();
@@ -147,6 +147,10 @@ class ProcessServerHandle {
   void ClosePipes();
   /// Reaps if exited; pid_ stays for post-mortem, reaped_ flips.
   void ReapIfExited(bool block);
+  /// Sleeps on a pidfd (Linux 5.3+) until the child exits or `timeout_s`
+  /// passes; true once it is gone. Without pidfd_open it only reports a
+  /// death that already happened.
+  bool WaitExit(double timeout_s);
 
   ProcessServerOptions opts_;
   std::string endpoint_;

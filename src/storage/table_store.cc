@@ -4,19 +4,31 @@ namespace phoenix::storage {
 
 Result<RowId> Table::Insert(Row row, RowId rid_hint) {
   PHX_RETURN_IF_ERROR(schema_.CoerceRow(&row));
+  // Each tree is descended at most once. A key past the tree's last key is
+  // an append at end() with no search (checkpoint images and WAL replay
+  // arrive in RowId order); otherwise one lower_bound both detects the
+  // duplicate and is the emplace_hint position.
   Row pk = PkOf(row);
-  if (!pk.empty() && pk_index_.count(pk)) {
-    return Status::Constraint("duplicate primary key " + RowToString(pk) +
-                              " in table " + name_);
+  auto pk_pos = pk_index_.end();
+  if (!pk.empty() && !pk_index_.empty() &&
+      !RowLess{}(pk_index_.rbegin()->first, pk)) {
+    pk_pos = pk_index_.lower_bound(pk);
+    if (!RowLess{}(pk, pk_pos->first)) {
+      return Status::Constraint("duplicate primary key " + RowToString(pk) +
+                                " in table " + name_);
+    }
   }
   RowId rid = rid_hint != 0 ? rid_hint : next_rid_;
-  if (rows_.count(rid)) {
-    return Status::Internal("RowId collision in table " + name_);
+  auto row_pos = rows_.end();
+  if (!rows_.empty() && rows_.rbegin()->first >= rid) {
+    row_pos = rows_.lower_bound(rid);
+    if (row_pos->first == rid) {
+      return Status::Internal("RowId collision in table " + name_);
+    }
   }
   if (rid >= next_rid_) next_rid_ = rid + 1;
-  if (!pk.empty()) pk_index_[pk] = rid;
-  rows_[rid] = std::move(row);
-  const Row& stored = rows_[rid];
+  if (!pk.empty()) pk_index_.emplace_hint(pk_pos, std::move(pk), rid);
+  const Row& stored = rows_.emplace_hint(row_pos, rid, std::move(row))->second;
   for (SecondaryIndex& idx : indexes_) {
     idx.entries[KeyFor(idx.columns, stored)].insert(rid);
   }

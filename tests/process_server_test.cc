@@ -13,6 +13,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <csignal>
 #include <chrono>
 #include <cstdlib>
 #include <memory>
@@ -252,6 +253,30 @@ void MidFsyncKillRecovers(const std::string& transport) {
   Response sel = fx.Call(ch2.get(), ExecReq(sid2, "SELECT A FROM T WHERE A = 1"));
   ASSERT_FALSE(sel.results.empty());
   EXPECT_EQ(sel.results[0].rows.size(), 1u);
+}
+
+// The kill-path wait sleeps until the child is gone: it returns false after
+// its timeout while the child lives, true once a death it did not cause
+// happens, and true at once when the child is already dead.
+TEST(ProcessServer, WaitRendezvousKillWakesOnDeathAndKeepsItsTimeout) {
+  ProcFixture fx("unix");
+  SKIP_UNLESS_RUNNING(fx);
+  auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(fx.handle->WaitRendezvousKill(0.1));
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(95));
+  EXPECT_TRUE(fx.handle->running());
+
+  pid_t pid = fx.handle->pid();
+  std::thread killer([pid] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    ::kill(pid, SIGKILL);
+  });
+  EXPECT_TRUE(fx.handle->WaitRendezvousKill(15.0));
+  killer.join();
+  EXPECT_FALSE(fx.handle->running());
+  EXPECT_EQ(fx.handle->rendezvous_kills(), 0u);
+  EXPECT_TRUE(fx.handle->WaitRendezvousKill(0.0));
 }
 
 TEST(ProcessServer, MidFsyncKillRecoversUnix) { MidFsyncKillRecovers("unix"); }

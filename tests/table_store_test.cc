@@ -239,5 +239,211 @@ TEST(Table, RandomOpsMatchModelProperty) {
   }
 }
 
+// Everything an insert can touch, rendered in tree order: rows by RowId,
+// PK entries, each secondary index's entries, and the rid counter.
+using IndexEntries = std::map<Row, std::set<RowId>, RowLess>;
+
+std::string DumpTrees(const std::map<RowId, Row>& rows,
+                      const std::map<Row, RowId, RowLess>& pk,
+                      const std::vector<const IndexEntries*>& indexes,
+                      RowId next_rid) {
+  std::string out = "next_rid=" + std::to_string(next_rid) + "\nrows:";
+  for (const auto& [rid, row] : rows) {
+    out += " " + std::to_string(rid) + "=" + RowToString(row);
+  }
+  out += "\npk:";
+  for (const auto& [key, rid] : pk) {
+    out += " " + RowToString(key) + "->" + std::to_string(rid);
+  }
+  for (const IndexEntries* entries : indexes) {
+    out += "\nindex:";
+    for (const auto& [key, rids] : *entries) {
+      out += " " + RowToString(key) + "->";
+      for (RowId rid : rids) out += std::to_string(rid) + ",";
+    }
+  }
+  return out;
+}
+
+std::string DumpTable(const Table& t) {
+  std::vector<const IndexEntries*> indexes;
+  for (const SecondaryIndex& idx : t.indexes()) indexes.push_back(&idx.entries);
+  return DumpTrees(t.rows(), t.pk_index(), indexes, t.next_rid());
+}
+
+// Reference model of Table::Insert on a (K PK, V indexed) table, written
+// with plain map lookups: PK uniqueness is checked before RowId collision,
+// and a failed insert changes nothing.
+struct InsertModel {
+  std::map<RowId, Row> rows;
+  std::map<Row, RowId, RowLess> pk;
+  IndexEntries by_v;
+  RowId next_rid = 1;
+
+  StatusCode Insert(const Row& row, RowId hint) {
+    Row key{row[0]};
+    if (pk.count(key)) return StatusCode::kConstraint;
+    RowId rid = hint != 0 ? hint : next_rid;
+    if (rows.count(rid)) return StatusCode::kInternal;
+    if (rid >= next_rid) next_rid = rid + 1;
+    pk[key] = rid;
+    rows[rid] = row;
+    by_v[Row{row[1]}].insert(rid);
+    return StatusCode::kOk;
+  }
+  void Delete(RowId rid) {
+    const Row& row = rows.at(rid);
+    pk.erase(Row{row[0]});
+    auto it = by_v.find(Row{row[1]});
+    it->second.erase(rid);
+    if (it->second.empty()) by_v.erase(it);
+    rows.erase(rid);
+  }
+  std::string Dump() const { return DumpTrees(rows, pk, {&by_v}, next_rid); }
+};
+
+template <typename Map>
+auto PickEntry(const Map& m, Rng* rng) {
+  return std::next(m.begin(), static_cast<long>(rng->NextBelow(m.size())));
+}
+
+// Property: every branch of Insert — RowId hints past the last rid, below it
+// and free, below it and taken, equal to it, or none; PK keys before, inside
+// and after the current key range, fresh or duplicate — leaves the table's
+// rows, PK tree, secondary index and rid counter exactly where the model
+// puts them, with the same status code. Deletes punch holes below the last
+// rid so "below and free" hints exist.
+TEST(Table, InsertBranchesMatchModelProperty) {
+  Rng rng(24601);
+  Table t("T", KvSchema(), {0}, false);
+  ASSERT_TRUE(t.CreateIndex("IV", {1}).ok());
+  InsertModel model;
+  int collisions = 0, duplicates = 0, mid_inserts = 0;
+  for (int step = 0; step < 3000; ++step) {
+    if (!model.rows.empty() && rng.NextBelow(4) == 0) {
+      RowId victim = PickEntry(model.rows, &rng)->first;
+      ASSERT_TRUE(t.Delete(victim).ok());
+      model.Delete(victim);
+      ASSERT_EQ(DumpTable(t), model.Dump()) << "step " << step;
+      continue;
+    }
+    int64_t lo = model.pk.empty() ? 0 : model.pk.begin()->first[0].AsInt64();
+    int64_t hi = model.pk.empty() ? 0 : model.pk.rbegin()->first[0].AsInt64();
+    RowId last = model.rows.empty() ? 0 : model.rows.rbegin()->first;
+    int64_t key = 0;
+    switch (rng.NextBelow(4)) {
+      case 0: key = lo - 1 - rng.NextRange(0, 4); break;  // before the range
+      case 1: key = rng.NextRange(lo, hi); break;          // inside it
+      case 2:                                               // a duplicate
+        key = model.pk.empty() ? 0 : PickEntry(model.pk, &rng)->first[0].AsInt64();
+        break;
+      default: key = hi + 1 + rng.NextRange(0, 4); break;  // after it
+    }
+    RowId hint = 0;  // auto rid
+    switch (rng.NextBelow(5)) {
+      case 0: hint = last + 1 + rng.NextBelow(3); break;  // past the last rid
+      case 1:                                              // below it, free
+        for (int tries = 0; tries < 8 && last > 1; ++tries) {
+          RowId r = 1 + rng.NextBelow(last - 1);
+          if (!model.rows.count(r)) {
+            hint = r;
+            break;
+          }
+        }
+        break;
+      case 2:  // below it (or equal), taken
+        if (!model.rows.empty()) hint = PickEntry(model.rows, &rng)->first;
+        break;
+      case 3: hint = last; break;  // equal to the last rid (0 when empty)
+      default: break;
+    }
+    Row row{Value::Int64(key), Value::String(rng.NextString(1))};
+    StatusCode want = model.Insert(row, hint);
+    auto got = t.Insert(row, hint);
+    ASSERT_EQ(got.status().code(), want)
+        << "step " << step << " key " << key << " hint " << hint << " "
+        << got.status().ToString();
+    if (got.ok()) {
+      ASSERT_EQ(*got, model.pk.at(Row{Value::Int64(key)}));
+    }
+    ASSERT_EQ(DumpTable(t), model.Dump()) << "step " << step;
+    collisions += want == StatusCode::kInternal;
+    duplicates += want == StatusCode::kConstraint;
+    mid_inserts += want == StatusCode::kOk && key > lo && key < hi &&
+                   hint != 0 && hint < last;
+  }
+  // Every branch actually ran.
+  EXPECT_GT(collisions, 50);
+  EXPECT_GT(duplicates, 50);
+  EXPECT_GT(mid_inserts, 50);
+
+  // A key that is a duplicate PK *and* a taken RowId: the PK check wins,
+  // and nothing changes.
+  ASSERT_FALSE(model.rows.empty());
+  RowId taken_rid = model.rows.begin()->first;
+  const auto& [dup_key, dup_rid] = *model.pk.rbegin();
+  ASSERT_NE(taken_rid, dup_rid);
+  std::string before = DumpTable(t);
+  Row both{dup_key[0], Value::String("x")};
+  EXPECT_EQ(t.Insert(both, taken_rid).status().code(),
+            StatusCode::kConstraint);
+  EXPECT_EQ(model.Insert(both, taken_rid), StatusCode::kConstraint);
+  EXPECT_EQ(DumpTable(t), before);
+}
+
+// An image whose PK order is not its RowId order decodes to the same table:
+// the decode's inserts take the non-append PK branch, which a table keyed in
+// insertion order (perfbench's KV) never reaches.
+TEST(Table, ImageRoundTripWithPkOrderUnlikeRowIdOrder) {
+  Rng rng(4242);
+  Schema s;
+  s.AddColumn(Column{"K", DataType::kInt64, false});
+  s.AddColumn(Column{"G", DataType::kInt64, true});
+  s.AddColumn(Column{"V", DataType::kString, true});
+  Table t("SHUF", s, {0}, false);
+  ASSERT_TRUE(t.CreateIndex("IG", {1}).ok());
+  std::vector<int64_t> keys(400);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = static_cast<int64_t>(i);
+  for (size_t i = keys.size() - 1; i > 0; --i) {
+    std::swap(keys[i], keys[rng.NextBelow(i + 1)]);
+  }
+  for (int64_t k : keys) {
+    ASSERT_TRUE(t.Insert(Row{Value::Int64(k), Value::Int64(k % 7),
+                             Value::String(rng.NextString(6))})
+                    .ok());
+  }
+  // Rows deleted at the high end: the image's next_rid outruns its last rid.
+  for (RowId rid = 391; rid <= 400; ++rid) ASSERT_TRUE(t.Delete(rid).ok());
+  // Updates that re-key rows, some to keys outside the original range.
+  for (int i = 0; i < 60; ++i) {
+    RowId rid = 1 + rng.NextBelow(390);
+    const Row* cur = t.Find(rid);
+    if (cur == nullptr) continue;
+    int64_t nk = rng.NextBelow(2) ? 1000 + i : -1 - i;
+    ASSERT_TRUE(t.Update(rid, Row{Value::Int64(nk), Value::Int64(nk % 5),
+                                  (*cur)[2]})
+                    .ok());
+  }
+  for (int i = 0; i < 30; ++i) (void)t.Delete(1 + rng.NextBelow(390));
+  // Precondition: PK order really differs from RowId order.
+  RowId prev = 0;
+  bool rid_order = true;
+  for (const auto& [key, rid] : t.pk_index()) {
+    rid_order = rid_order && rid > prev;
+    prev = rid;
+  }
+  ASSERT_FALSE(rid_order);
+
+  Encoder enc;
+  TableImageEncoder out(&enc, t, t.next_rid());
+  for (const auto& [rid, row] : t.rows()) out.AddRow(rid, row);
+  out.Finish(t.IndexDefs());
+  Decoder dec(enc.data());
+  auto back = Table::DecodeSnapshot(&dec);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(t.next_rid(), 401u);
+  EXPECT_EQ(DumpTable(**back), DumpTable(t));
+}
+
 }  // namespace
 }  // namespace phoenix::storage
