@@ -206,26 +206,47 @@ void AppendRecoveryParallelJson(const std::string& json) {
 // The storage-level complement to Figure 2: the paper's recovery story
 // assumes the database side of a restart is fast; this sweep measures the
 // WAL-replay half of that restart as the log grows, serial vs partitioned
-// across 4 worker threads (PHX_RECOVERY_THREADS=4). Eight tables, two
+// across 4 worker threads (PHX_RECOVERY_THREADS=4). 32 tables, two
 // secondary indexes each, so replay cost is dominated by applying ops
 // (index maintenance) rather than decoding frames — the regime where
 // partitioning by table pays.
+
+/// Median, min and max of one timing's runs.
+struct Spread {
+  double median, min, max;
+};
+
+Spread SpreadOf(std::vector<double> runs) {
+  std::sort(runs.begin(), runs.end());
+  size_t n = runs.size();
+  double median = n % 2 ? runs[n / 2] : (runs[n / 2 - 1] + runs[n / 2]) / 2;
+  return Spread{median, runs.front(), runs.back()};
+}
+
+std::string SpreadJson(const char* name, const Spread& s) {
+  return ",\"" + std::string(name) + "_s\":" + std::to_string(s.median) +
+         ",\"" + name + "_min_s\":" + std::to_string(s.min) + ",\"" + name +
+         "_max_s\":" + std::to_string(s.max);
+}
+
 void WalReplaySweep() {
   constexpr int kTables = 32;
   constexpr uint64_t kThreads = 4;
   constexpr int kOpsPerCommit = 4;
-  constexpr int kReplayReps = 3;  // best-of, to shed scheduler noise
+  // Runs per timing: one run cannot resolve a 10-20% change on a shared
+  // host, so each figure is a median with its min and max.
+  constexpr int kReplayRuns = 5;
 
   if (std::FILE* f = std::fopen(kRecoveryParallelJson, "w")) std::fclose(f);
   const unsigned nproc = std::thread::hardware_concurrency();
 
   std::printf("\nParallel WAL replay sweep (%d tables, 2 secondary indexes "
-              "each, best of %d replays)\n",
-              kTables, kReplayReps);
+              "each; median [min, max] of %d runs, serial and 4-thread "
+              "runs alternating)\n",
+              kTables, kReplayRuns);
   PrintRule();
-  std::printf("%10s %10s %12s %12s %14s %8s %12s %14s\n", "Records", "WAL MB",
-              "scan (s)", "serial (s)", "4-thread (s)", "speedup",
-              "serial s/GB", "4-thread s/GB");
+  std::printf("%8s %7s %9s %26s %26s %8s\n", "Records", "WAL MB", "scan (s)",
+              "serial (s)", "4-thread (s)", "speedup");
   PrintRule();
 
   for (int records : {8000, 32000, 96000}) {
@@ -275,13 +296,16 @@ void WalReplaySweep() {
       }
       BenchEnv::Check(dm.LogCommit(rec), "log commit");
     }
-    const std::string wal_bytes_str = *disk.ReadDurable(dm.wal_file());
-    const double wal_gb = static_cast<double>(wal_bytes_str.size()) / 1e9;
+    const uint64_t wal_bytes = disk.ReadDurable(dm.wal_file())->size();
 
+    auto seconds_since = [](std::chrono::steady_clock::time_point t0) {
+      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                           t0)
+          .count();
+    };
     // Decode floor: a scan that drops every record on the floor. This is the
     // serial fraction no amount of replay parallelism can remove (Amdahl).
-    double scan_only = 1e30;
-    for (int rep = 0; rep < kReplayReps; ++rep) {
+    auto scan_seconds = [&] {
       storage::WalScanStats stats;
       auto t0 = std::chrono::steady_clock::now();
       BenchEnv::Check(
@@ -290,45 +314,42 @@ void WalReplaySweep() {
                                      return Status::Ok();
                                    }),
           "scan");
-      scan_only = std::min(
-          scan_only, std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count());
-    }
-
-    auto replay_seconds = [&disk](uint64_t threads) {
-      double best = 1e30;
-      for (int rep = 0; rep < kReplayReps; ++rep) {
-        storage::DurabilityManager r(&disk, "db");
-        r.set_recovery_threads(threads);
-        storage::TableStore store;
-        storage::RecoveryInfo info;
-        auto t0 = std::chrono::steady_clock::now();
-        BenchEnv::Check(r.Recover(&store, &info), "replay");
-        best = std::min(
-            best, std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count());
-      }
-      return best;
+      return seconds_since(t0);
     };
-    double serial = replay_seconds(1);
-    double parallel = replay_seconds(kThreads);
+    auto replay_seconds = [&](uint64_t threads) {
+      storage::DurabilityManager r(&disk, "db");
+      r.set_recovery_threads(threads);
+      storage::TableStore store;
+      storage::RecoveryInfo info;
+      auto t0 = std::chrono::steady_clock::now();
+      BenchEnv::Check(r.Recover(&store, &info), "replay");
+      return seconds_since(t0);
+    };
+    std::vector<double> scans, serials, parallels;
+    for (int run = 0; run < kReplayRuns; ++run) {
+      scans.push_back(scan_seconds());
+      serials.push_back(replay_seconds(1));
+      parallels.push_back(replay_seconds(kThreads));
+    }
+    Spread scan = SpreadOf(scans);
+    Spread serial = SpreadOf(serials);
+    Spread parallel = SpreadOf(parallels);
 
-    std::printf("%10d %10.2f %12.4f %12.4f %14.4f %7.2fx %12.1f %14.1f\n",
-                records, wal_gb * 1e3, scan_only, serial, parallel,
-                serial / parallel, serial / wal_gb, parallel / wal_gb);
+    std::printf("%8d %7.2f %9.4f %8.4f [%6.4f, %6.4f] %8.4f [%6.4f, %6.4f] "
+                "%7.2fx\n",
+                records, static_cast<double>(wal_bytes) / 1e6, scan.median,
+                serial.median, serial.min, serial.max, parallel.median,
+                parallel.min, parallel.max, serial.median / parallel.median);
     AppendRecoveryParallelJson(
         "{\"bench\":\"recovery_parallel\",\"records\":" +
         std::to_string(records) + ",\"threads\":" + std::to_string(kThreads) +
         ",\"nproc\":" + std::to_string(nproc) +
-        ",\"wal_bytes\":" + std::to_string(static_cast<uint64_t>(wal_gb * 1e9)) +
-        ",\"scan_only_s\":" + std::to_string(scan_only) +
-        ",\"serial_s\":" + std::to_string(serial) +
-        ",\"parallel_s\":" + std::to_string(parallel) +
-        ",\"serial_s_per_gb\":" + std::to_string(serial / wal_gb) +
-        ",\"parallel_s_per_gb\":" + std::to_string(parallel / wal_gb) +
-        ",\"speedup\":" + std::to_string(serial / parallel) + "}");
+        ",\"runs\":" + std::to_string(kReplayRuns) +
+        ",\"wal_bytes\":" + std::to_string(wal_bytes) +
+        SpreadJson("scan_only", scan) + SpreadJson("serial", serial) +
+        SpreadJson("parallel", parallel) +
+        ",\"speedup\":" + std::to_string(serial.median / parallel.median) +
+        "}");
   }
   PrintRule();
 }

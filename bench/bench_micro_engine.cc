@@ -11,6 +11,7 @@
 #include "common/rng.h"
 #include "engine/database.h"
 #include "net/protocol.h"
+#include "net/worker_pool.h"
 #include "sql/parser.h"
 #include "storage/table_store.h"
 #include "storage/wal.h"
@@ -205,9 +206,12 @@ void BM_TableInsertAppend(benchmark::State& state) {
 BENCHMARK(BM_TableInsertAppend)->Arg(20000);
 
 // Restart's dominant step: decoding perfbench's 20k-row KV checkpoint image
-// back into a table (Table::DecodeSnapshot, which inserts row by row).
+// back into a table (Table::DecodeSnapshot) with the given number of
+// recovery threads; at 1 the calling thread decodes and inserts every chunk.
+// Destroying the decoded table is not timed: a restart does not pay it.
 void BM_DecodeCheckpointImage(benchmark::State& state) {
   constexpr int64_t kRows = 20000;
+  const size_t threads = static_cast<size_t>(state.range(0));
   Rng rng(7);
   storage::Table src("KV", KvBenchSchema(), {0}, false);
   for (int64_t k = 0; k < kRows; ++k) (void)src.Insert(KvBenchRow(k, &rng));
@@ -215,20 +219,32 @@ void BM_DecodeCheckpointImage(benchmark::State& state) {
   storage::TableImageEncoder out(&enc, src, src.next_rid());
   for (const auto& [rid, row] : src.rows()) out.AddRow(rid, row);
   out.Finish(src.IndexDefs());
+  std::unique_ptr<net::WorkerPool> pool;
+  if (threads > 1) {
+    pool = std::make_unique<net::WorkerPool>(
+        net::WorkerPool::Options{threads, threads * 4});
+  }
   for (auto _ : state) {
     Decoder dec(enc.data());
-    auto t = storage::Table::DecodeSnapshot(&dec);
+    auto t = storage::Table::DecodeSnapshot(&dec, storage::kImageVersion,
+                                            pool.get());
     if (!t.ok() || (*t)->num_rows() != kRows) {
       state.SkipWithError("image did not decode");
       break;
     }
     benchmark::DoNotOptimize(t);
+    state.PauseTiming();
+    t.take().reset();
+    state.ResumeTiming();
   }
   state.SetItemsProcessed(state.iterations() * kRows);
   state.SetBytesProcessed(state.iterations() *
                           static_cast<int64_t>(enc.data().size()));
 }
-BENCHMARK(BM_DecodeCheckpointImage)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DecodeCheckpointImage)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_WireCodecRow(benchmark::State& state) {
   net::Response resp;

@@ -22,10 +22,12 @@
 # main lanes with `ctest -LE socket` (the suites also self-skip when the
 # sandbox denies AF_UNIX).
 #
-# A fifth lane, `recovery`, runs the recovery-side suites under TSan twice:
-# with PHX_RECOVERY_THREADS=1 (the serial replay path) and =4 (partitioned
-# replay on the worker pool), so the scan-thread/worker handoff, the DDL
-# barriers, and the sticky first-error path are race-checked in both modes.
+# A fifth lane, `recovery`, runs the recovery-side suites under TSan three
+# times: with PHX_RECOVERY_THREADS=1 (fully serial recovery), =4 (checkpoint
+# chunks decoded and replay partitioned on the recovery pool) and unset (the
+# default, one thread per usable CPU), so the decode window, the scan-thread/
+# worker handoff, the DDL barriers, and the sticky first-error path are
+# race-checked in every mode.
 #
 # A sixth lane, `mvcc`, runs the MVCC-sensitive suites once under TSan:
 # snapshot reads (version installation, pin/reclaim, the committed_lsn_
@@ -57,7 +59,12 @@ run_lane() {
   cmake --build "$build_dir" -j "$JOBS" >/dev/null
   echo "==> [$lane_name] ctest"
   # halt_on_error makes any sanitizer report fail the test that produced it.
-  PHX_RECOVERY_THREADS="${LANE_RECOVERY_THREADS:-1}" \
+  # LANE_RECOVERY_THREADS=default leaves PHX_RECOVERY_THREADS unset.
+  if [ "${LANE_RECOVERY_THREADS:-1}" = default ]; then
+    unset PHX_RECOVERY_THREADS
+  else
+    export PHX_RECOVERY_THREADS="${LANE_RECOVERY_THREADS:-1}"
+  fi
   PHX_TRANSPORT="${LANE_TRANSPORT:-inproc}" \
   ASAN_OPTIONS="halt_on_error=1" \
   UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
@@ -69,7 +76,7 @@ run_lane() {
 
 CHAOS_TESTS='chaos_matrix_test|recovery_regression_test|wal_test'
 SOCKET_TESTS='net_test|process_server_test|chaos_matrix_test'
-RECOVERY_TESTS='storage_recovery_test|recovery_regression_test|chaos_matrix_test|wal_test|database_recovery_test'
+RECOVERY_TESTS='storage_recovery_test|table_store_test|recovery_regression_test|chaos_matrix_test|wal_test|database_recovery_test'
 MVCC_TESTS='executor_test|txn_test|checkpoint_snapshot_test|cursor_test|engine_edge_test|concurrent_server_test|seek_and_multiclient_test|chaos_test|chaos_matrix_test|phoenix_basic_test|phoenix_recovery_test|left_join_test'
 FAILOVER_TESTS='failover_test|chaos_matrix_test'
 
@@ -88,9 +95,10 @@ case "$want" in
     LANE_TRANSPORT=unix run_lane tsan thread "$SOCKET_TESTS"
     ;;
   recovery)
-    # Parallel-replay lane: same build, two replay modes.
+    # Parallel-recovery lane: same build, three recovery pool sizes.
     LANE_RECOVERY_THREADS=1 run_lane tsan thread "$RECOVERY_TESTS"
     LANE_RECOVERY_THREADS=4 run_lane tsan thread "$RECOVERY_TESTS"
+    LANE_RECOVERY_THREADS=default run_lane tsan thread "$RECOVERY_TESTS"
     ;;
   mvcc) run_lane tsan thread "$MVCC_TESTS" ;;
   failover)

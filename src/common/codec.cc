@@ -117,6 +117,13 @@ Result<std::string> Decoder::GetString() {
   return s;
 }
 
+Result<std::string_view> Decoder::GetBytes(size_t n) {
+  PHX_RETURN_IF_ERROR(Need(n));
+  std::string_view bytes(data_ + pos_, n);
+  pos_ += n;
+  return bytes;
+}
+
 Result<bool> Decoder::GetBool() {
   PHX_ASSIGN_OR_RETURN(uint8_t v, GetU8());
   return v != 0;

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/schema.h"
@@ -45,7 +46,7 @@ class Encoder {
 class Decoder {
  public:
   Decoder(const char* data, size_t size) : data_(data), size_(size) {}
-  explicit Decoder(const std::string& s) : Decoder(s.data(), s.size()) {}
+  explicit Decoder(std::string_view s) : Decoder(s.data(), s.size()) {}
 
   Result<uint8_t> GetU8();
   Result<uint16_t> GetU16();
@@ -59,6 +60,10 @@ class Decoder {
   Result<Value> GetValue();
   Result<Row> GetRow();
   Result<Schema> GetSchema();
+  /// The next `n` bytes, uncopied; the view lives as long as the input.
+  Result<std::string_view> GetBytes(size_t n);
+  /// Everything not yet consumed, without consuming it.
+  std::string_view Rest() const { return {data_ + pos_, size_ - pos_}; }
 
   size_t remaining() const { return size_ - pos_; }
   bool AtEnd() const { return pos_ >= size_; }
@@ -66,7 +71,7 @@ class Decoder {
 
  private:
   Status Need(size_t n) const {
-    if (pos_ + n > size_) return Status::IoError("truncated input");
+    if (n > size_ - pos_) return Status::IoError("truncated input");
     return Status::Ok();
   }
   const char* data_;

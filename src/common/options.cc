@@ -1,5 +1,8 @@
 #include "common/options.h"
 
+#include <sched.h>
+
+#include <algorithm>
 #include <cstdlib>
 
 namespace phoenix {
@@ -12,15 +15,29 @@ uint64_t EnvU64(const char* name, uint64_t fallback) {
   return std::strtoull(e, nullptr, 10);
 }
 
+/// A thread-count knob: unset keeps `fallback`; any value is clamped to
+/// [1, kMaxThreadsPerCpu * AvailableCpus()].
+uint64_t EnvThreads(const char* name, uint64_t fallback) {
+  return std::clamp<uint64_t>(EnvU64(name, fallback), 1,
+                              kMaxThreadsPerCpu * AvailableCpus());
+}
+
 }  // namespace
+
+uint64_t AvailableCpus() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) != 0) return 1;
+  int n = CPU_COUNT(&set);
+  return n > 0 ? static_cast<uint64_t>(n) : 1;
+}
 
 Options Options::FromEnv() {
   Options o;
   o.checkpoint_every_n_commits =
       EnvU64("PHX_CKPT_EVERY", o.checkpoint_every_n_commits);
-  o.worker_threads = EnvU64("PHX_WORKERS", o.worker_threads);
-  o.recovery_threads = EnvU64("PHX_RECOVERY_THREADS", o.recovery_threads);
-  if (o.recovery_threads == 0) o.recovery_threads = 1;
+  o.worker_threads = EnvThreads("PHX_WORKERS", o.worker_threads);
+  o.recovery_threads = EnvThreads("PHX_RECOVERY_THREADS", o.recovery_threads);
   const char* transport = std::getenv("PHX_TRANSPORT");
   if (transport != nullptr && transport[0] != '\0') {
     std::string t = transport;

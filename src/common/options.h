@@ -15,6 +15,12 @@ enum class Transport : uint8_t {
   kTcp = 2,     ///< TCP (127.0.0.1) socket to an out-of-process phoenixd
 };
 
+/// CPUs this process may run on (sched_getaffinity), at least 1.
+uint64_t AvailableCpus();
+
+/// Upper bound on PHX_WORKERS and PHX_RECOVERY_THREADS, per available CPU.
+inline constexpr uint64_t kMaxThreadsPerCpu = 8;
+
 /// Every process-level tuning knob in one typed struct, loaded from the
 /// environment exactly once per consumer via FromEnv(). Subsystems take the
 /// struct (DatabaseOptions, PhoenixConfig) instead of each calling getenv —
@@ -24,8 +30,12 @@ enum class Transport : uint8_t {
 ///                              (default 0 = manual checkpoints only)
 ///   PHX_WORKERS=<n>            phoenixd dispatcher worker threads
 ///                              (default 4)
-///   PHX_RECOVERY_THREADS=<n>   WAL replay worker threads (default 1 =
-///                              serial replay; >1 partitions replay by table)
+///   PHX_RECOVERY_THREADS=<n>   recovery pool threads: checkpoint-image
+///                              chunks decode and WAL replay partitions by
+///                              table on them (default AvailableCpus();
+///                              1 = fully serial recovery)
+///   Both thread counts are clamped to [1, kMaxThreadsPerCpu *
+///   AvailableCpus()]; a larger value only adds threads that wait.
 ///   PHX_TRANSPORT=inproc|unix|tcp  client↔server transport for harnesses
 ///                              that honor it (default inproc)
 ///   PHX_RPC_TIMEOUT_MS=<n>     socket round-trip deadline (default 30000)
@@ -40,7 +50,7 @@ enum class Transport : uint8_t {
 struct Options {
   uint64_t checkpoint_every_n_commits = 0;
   uint64_t worker_threads = 4;
-  uint64_t recovery_threads = 1;
+  uint64_t recovery_threads = AvailableCpus();
   Transport transport = Transport::kInproc;
   uint64_t rpc_timeout_ms = 30000;
   uint64_t connect_timeout_ms = 5000;

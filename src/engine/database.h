@@ -55,9 +55,9 @@ struct DatabaseOptions {
   /// unique across process restarts, so a stale pre-crash session id can
   /// never accidentally name a post-crash session.
   uint64_t first_session_id = 1;
-  /// Worker threads for partitioned WAL replay during Open()'s recovery
-  /// (PHX_RECOVERY_THREADS). 1 = serial streaming replay; either mode
-  /// produces an identical store (DESIGN.md §15).
+  /// Recovery pool threads for Open() (PHX_RECOVERY_THREADS): checkpoint
+  /// chunks decode and WAL replay partitions by table on them. 1 = fully
+  /// serial; every count produces an identical store (DESIGN.md §15).
   uint64_t recovery_threads;
   /// Replay-progress observation hook, forwarded to
   /// DurabilityManager::set_replay_hook. phoenixd installs the "recovery"

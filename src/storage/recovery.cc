@@ -22,10 +22,12 @@ constexpr uint32_t kCheckpointMagic = 0x50485843;  // "PHXC"
 /// v2: {next_txn_id, fence_lsn, snapshot} — non-quiescent checkpoints,
 ///     replay fenced on WAL LSN.
 /// v3: same header, but each table's snapshot carries its secondary-index
-///     definitions (entries are rebuilt from the rows on load). v1 and v2
-///     images are still accepted on read so a restart over an old disk
-///     image works.
-constexpr uint32_t kCheckpointVersion = 3;
+///     definitions (entries are rebuilt from the rows on load).
+/// v4: same header; each table carries its rows' byte length and a chunk
+///     directory, so restart decodes chunks on the recovery pool.
+/// Older images are still accepted on read so a restart over an old disk
+/// image works.
+constexpr uint32_t kCheckpointVersion = kImageVersion;
 
 /// Shared progress state for the replay hook: a running event counter that
 /// both the scan thread (per record) and pool workers (periodically, while
@@ -61,12 +63,11 @@ struct ReplayProgress {
 /// out early; the scan aborts on the next record.
 class PartitionedReplay {
  public:
-  PartitionedReplay(TableStore* store, uint64_t threads,
+  PartitionedReplay(TableStore* store, net::WorkerPool* pool,
                     ReplayProgress* progress)
-      : store_(store),
-        progress_(progress),
-        pool_({/*threads=*/static_cast<size_t>(threads),
-               /*queue_capacity=*/static_cast<size_t>(threads) * 4}) {}
+      : store_(store), progress_(progress), pool_(pool) {}
+  /// The pool outlives this object: tasks still applying must finish first.
+  ~PartitionedReplay() { pool_->Drain(); }
 
   /// Classifies one record's ops, flushing a barrier around table DDL.
   /// `local` counters advance exactly as serial replay would advance them.
@@ -77,7 +78,7 @@ class PartitionedReplay {
           op.kind == WalOpKind::kDropTable) {
         PHX_RETURN_IF_ERROR(Flush(local));
         ++local->ddl_barriers;
-        PHX_RETURN_IF_ERROR(ApplyWalOp(op, store_));
+        PHX_RETURN_IF_ERROR(ApplyWalOp(std::move(op), store_));
       } else {
         partitions_[IdentUpper(op.table)].push_back(std::move(op));
       }
@@ -93,7 +94,7 @@ class PartitionedReplay {
       if (ops.empty()) continue;
       ++local->partitions_replayed;
       auto batch = std::make_shared<std::vector<WalOp>>(std::move(ops));
-      pool_.Submit([this, table = table, batch] {
+      pool_->Submit([this, table = table, batch] {
         // One name lookup per batch, not per op — every op in a partition
         // targets the same table, and table DDL (which could invalidate the
         // pointer) is fenced behind Drain() barriers.
@@ -104,7 +105,7 @@ class PartitionedReplay {
         }
         for (size_t i = 0; i < batch->size(); ++i) {
           if (failed_.load(std::memory_order_relaxed)) return;
-          Status st = ApplyWalOpToTable(t, (*batch)[i]);
+          Status st = ApplyWalOpToTable(t, std::move((*batch)[i]));
           if (!st.ok()) {
             RecordError(std::move(st));
             return;
@@ -117,7 +118,7 @@ class PartitionedReplay {
       });
     }
     partitions_.clear();
-    pool_.Drain();
+    pool_->Drain();
     return FirstError();
   }
 
@@ -142,23 +143,23 @@ class PartitionedReplay {
   std::mutex err_mu_;
   std::atomic<bool> failed_{false};
   Status first_error_;
-  net::WorkerPool pool_;  ///< last member: workers die before the rest
+  net::WorkerPool* pool_;
 };
 
 }  // namespace
 
-Status ApplyWalOpToTable(Table* t, const WalOp& op) {
+Status ApplyWalOpToTable(Table* t, WalOp op) {
   switch (op.kind) {
     case WalOpKind::kInsert: {
-      auto res = t->Insert(op.row, op.rid);
+      auto res = t->Insert(std::move(op.row), op.rid);
       return res.status();
     }
     case WalOpKind::kDelete:
       return t->Delete(op.rid);
     case WalOpKind::kUpdate:
-      return t->Update(op.rid, op.row);
+      return t->Update(op.rid, std::move(op.row));
     case WalOpKind::kCreateIndex:
-      return t->CreateIndex(op.index_name, op.columns);
+      return t->CreateIndex(op.index_name, std::move(op.columns));
     case WalOpKind::kDropIndex:
       return t->DropIndex(op.index_name);
     case WalOpKind::kCreateTable:
@@ -168,10 +169,11 @@ Status ApplyWalOpToTable(Table* t, const WalOp& op) {
   return Status::Internal("bad WAL op kind for resolved-table apply");
 }
 
-Status ApplyWalOp(const WalOp& op, TableStore* store) {
+Status ApplyWalOp(WalOp op, TableStore* store) {
   switch (op.kind) {
     case WalOpKind::kCreateTable: {
-      auto res = store->CreateTable(op.table, op.schema, op.columns,
+      auto res = store->CreateTable(op.table, std::move(op.schema),
+                                    std::move(op.columns),
                                     /*temporary=*/false);
       return res.status();
     }
@@ -180,7 +182,7 @@ Status ApplyWalOp(const WalOp& op, TableStore* store) {
     default: {
       Table* t = store->Get(op.table);
       if (t == nullptr) return Status::Internal("redo op on missing " + op.table);
-      return ApplyWalOpToTable(t, op);
+      return ApplyWalOpToTable(t, std::move(op));
     }
   }
 }
@@ -250,39 +252,41 @@ Status DurabilityManager::TruncateWalToFence(uint64_t fence_lsn) {
 }
 
 Status DurabilityManager::LoadCheckpoint(TableStore* store,
-                                         RecoveryInfo* local) {
+                                         RecoveryInfo* local,
+                                         net::WorkerPool* pool) {
   if (!disk_->Exists(ckpt_file_)) return Status::Ok();
-  PHX_ASSIGN_OR_RETURN(std::string bytes, disk_->ReadDurable(ckpt_file_));
-  if (bytes.empty()) return Status::Ok();
-  Decoder dec(bytes);
-  PHX_ASSIGN_OR_RETURN(uint32_t magic, dec.GetU32());
-  PHX_ASSIGN_OR_RETURN(uint32_t version, dec.GetU32());
-  // Bad magic (torn/foreign image) and an unsupported version (usually a
-  // newer software's image) are different operational problems; the log
-  // line alone must say which, and what was actually observed.
-  if (magic != kCheckpointMagic) {
-    char msg[96];
-    std::snprintf(msg, sizeof(msg),
-                  "bad checkpoint magic 0x%08x (want 0x%08x \"PHXC\")", magic,
-                  kCheckpointMagic);
-    return Status::IoError(msg);
-  }
-  if (version < 1 || version > kCheckpointVersion) {
-    char msg[96];
-    std::snprintf(msg, sizeof(msg),
-                  "unsupported checkpoint version %u (supported 1..%u)",
-                  version, kCheckpointVersion);
-    return Status::IoError(msg);
-  }
-  local->image_version = version;
-  PHX_ASSIGN_OR_RETURN(local->next_txn_id, dec.GetU64());
-  if (version >= 2) {
-    PHX_ASSIGN_OR_RETURN(local->fence_lsn, dec.GetU64());
-  }
-  PHX_RETURN_IF_ERROR(
-      store->DecodeSnapshot(&dec, /*with_indexes=*/version >= 3));
-  local->had_checkpoint = true;
-  return Status::Ok();
+  // Decoded in place: the image is never copied out of the disk.
+  return disk_->ViewDurable(ckpt_file_, [&](std::string_view bytes) -> Status {
+    if (bytes.empty()) return Status::Ok();
+    Decoder dec(bytes);
+    PHX_ASSIGN_OR_RETURN(uint32_t magic, dec.GetU32());
+    PHX_ASSIGN_OR_RETURN(uint32_t version, dec.GetU32());
+    // Bad magic (torn/foreign image) and an unsupported version (usually a
+    // newer software's image) are different operational problems; the log
+    // line alone must say which, and what was actually observed.
+    if (magic != kCheckpointMagic) {
+      char msg[96];
+      std::snprintf(msg, sizeof(msg),
+                    "bad checkpoint magic 0x%08x (want 0x%08x \"PHXC\")",
+                    magic, kCheckpointMagic);
+      return Status::IoError(msg);
+    }
+    if (version < 1 || version > kCheckpointVersion) {
+      char msg[96];
+      std::snprintf(msg, sizeof(msg),
+                    "unsupported checkpoint version %u (supported 1..%u)",
+                    version, kCheckpointVersion);
+      return Status::IoError(msg);
+    }
+    local->image_version = version;
+    PHX_ASSIGN_OR_RETURN(local->next_txn_id, dec.GetU64());
+    if (version >= 2) {
+      PHX_ASSIGN_OR_RETURN(local->fence_lsn, dec.GetU64());
+    }
+    PHX_RETURN_IF_ERROR(store->DecodeSnapshot(&dec, version, pool));
+    local->had_checkpoint = true;
+    return Status::Ok();
+  });
 }
 
 Status DurabilityManager::Recover(TableStore* store, RecoveryInfo* info) {
@@ -304,7 +308,17 @@ Status DurabilityManager::RecoverImpl(TableStore* store, RecoveryInfo* local) {
   auto* reg = obs::MetricsRegistry::Default();
   reg->GetCounter("storage.recoveries")->Increment();
   StopWatch watch;
-  PHX_RETURN_IF_ERROR(LoadCheckpoint(store, local));
+  // One pool per recovery, shared by the image decode and the replay; none
+  // at all on the serial path.
+  const uint64_t threads = recovery_threads_ < 1 ? 1 : recovery_threads_;
+  local->replay_threads = threads;
+  std::unique_ptr<net::WorkerPool> pool;
+  if (threads > 1) {
+    pool = std::make_unique<net::WorkerPool>(net::WorkerPool::Options{
+        /*threads=*/static_cast<size_t>(threads),
+        /*queue_capacity=*/static_cast<size_t>(threads) * 4});
+  }
+  PHX_RETURN_IF_ERROR(LoadCheckpoint(store, local, pool.get()));
   reg->GetHistogram("storage.recovery.checkpoint_load_us")
       ->Record(static_cast<uint64_t>(watch.ElapsedSeconds() * 1e6));
   watch.Restart();
@@ -333,11 +347,9 @@ Status DurabilityManager::RecoverImpl(TableStore* store, RecoveryInfo* local) {
 
   ReplayProgress progress;
   progress.hook = replay_hook_;
-  const uint64_t threads = recovery_threads_ < 1 ? 1 : recovery_threads_;
-  local->replay_threads = threads;
   std::unique_ptr<PartitionedReplay> parallel;
-  if (threads > 1) {
-    parallel = std::make_unique<PartitionedReplay>(store, threads, &progress);
+  if (pool != nullptr) {
+    parallel = std::make_unique<PartitionedReplay>(store, pool.get(), &progress);
   }
 
   uint64_t max_lsn = 0;
@@ -358,8 +370,8 @@ Status DurabilityManager::RecoverImpl(TableStore* store, RecoveryInfo* local) {
   } else {
     replay = [&](WalCommitRecord&& rec) -> Status {
       note_record(rec);
-      for (const WalOp& op : rec.ops) {
-        PHX_RETURN_IF_ERROR(ApplyWalOp(op, store));
+      for (WalOp& op : rec.ops) {
+        PHX_RETURN_IF_ERROR(ApplyWalOp(std::move(op), store));
         ++local->ops_replayed;
       }
       return Status::Ok();

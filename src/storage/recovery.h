@@ -36,8 +36,8 @@ struct RecoveryInfo {
   /// The WAL scan's torn-tail accounting (see WalScanStats).
   WalScanStats wal_scan;
   uint64_t next_txn_id = 1;
-  /// How replay ran (DESIGN.md §15). replay_threads is the effective worker
-  /// count (1 = the serial streaming path). partitions_replayed counts
+  /// How replay ran (DESIGN.md §15). replay_threads is the effective
+  /// recovery pool size (1 = the serial path, no pool). partitions_replayed counts
   /// per-table op batches handed to the pool; ddl_barriers counts the
   /// serial CREATE/DROP TABLE sync points that fenced them. All three are
   /// mode descriptors, not log properties — the equivalence contract is
@@ -48,20 +48,18 @@ struct RecoveryInfo {
   uint64_t ddl_barriers = 0;
 };
 
-/// Rids a checkpoint examines per shared hold of the data lock, so a writer
-/// waits for at most one chunk, never for a whole table.
-inline constexpr size_t kCheckpointChunkRows = 1024;
-
 /// Applies one redo op to the store. Replay is idempotent in the sense that
 /// a whole committed record either was fully reflected in the checkpoint or
 /// not at all, so ops are applied blindly and any mismatch is an error.
-Status ApplyWalOp(const WalOp& op, TableStore* store);
+/// Replay moves its ops in, so a row's buffer stays where the log scan
+/// allocated it instead of being copied on the applying thread.
+Status ApplyWalOp(WalOp op, TableStore* store);
 
 /// Same, against an already-resolved table — the partitioned-replay fast
 /// path: a partition batch is all one table, so the name lookup hoists out
 /// of the loop. Table DDL (create/drop table) is a store operation and is
 /// rejected here.
-Status ApplyWalOpToTable(Table* t, const WalOp& op);
+Status ApplyWalOpToTable(Table* t, WalOp op);
 
 /// Owns the durability protocol: redo-only WAL + atomic full checkpoints.
 ///
@@ -105,16 +103,20 @@ class DurabilityManager {
   /// cleared AGAIN on every error path — a failed recovery never leaves a
   /// half-replayed store behind for a caller that retries or degrades.
   ///
-  /// Replay is a single streaming scan over the WAL (records are never
-  /// materialized as a whole). With recovery_threads == 1 each record's ops
-  /// apply inline during the scan; with more threads the scan classifies
-  /// DML ops into per-table partitions replayed on a worker pool, with
-  /// CREATE/DROP TABLE acting as serial barriers (DESIGN.md §15). Both
-  /// modes produce an identical store and identical RecoveryInfo counters.
+  /// With recovery_threads > 1 one worker pool serves the whole recovery:
+  /// the checkpoint image's chunks decode on it while this thread inserts
+  /// them in image order, then the WAL replays on it. Replay is a single
+  /// streaming scan over the WAL (records are never materialized as a
+  /// whole). With recovery_threads == 1 each record's ops apply inline
+  /// during the scan; with more threads the scan classifies DML ops into
+  /// per-table partitions replayed on the pool, with CREATE/DROP TABLE
+  /// acting as serial barriers (DESIGN.md §15). Every thread count produces
+  /// an identical store and identical RecoveryInfo counters.
   Status Recover(TableStore* store, RecoveryInfo* info);
 
-  /// Worker threads for partitioned WAL replay (PHX_RECOVERY_THREADS).
-  /// 1 (default) = serial streaming replay; clamped to at least 1. Takes
+  /// Recovery pool threads (PHX_RECOVERY_THREADS): chunked image decode and
+  /// partitioned WAL replay. 1 (this class's default; Options defaults to
+  /// the usable CPUs) = fully serial recovery; clamped to at least 1. Takes
   /// effect on the next Recover() call.
   void set_recovery_threads(uint64_t n) { recovery_threads_ = n < 1 ? 1 : n; }
   uint64_t recovery_threads() const { return recovery_threads_; }
@@ -142,8 +144,10 @@ class DurabilityManager {
  private:
   /// Recover() minus the error-path Clear() wrapper.
   Status RecoverImpl(TableStore* store, RecoveryInfo* local);
-  /// Loads the checkpoint image into `store` if one exists.
-  Status LoadCheckpoint(TableStore* store, RecoveryInfo* local);
+  /// Loads the checkpoint image into `store` if one exists, decoding its
+  /// tables' chunks on `pool` (null: on the calling thread).
+  Status LoadCheckpoint(TableStore* store, RecoveryInfo* local,
+                        net::WorkerPool* pool);
 
   SimDisk* disk_;
   std::string wal_file_;

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <dirent.h>
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <thread>
 #include <unistd.h>
 
@@ -25,23 +26,29 @@ Status IoErrno(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
 }
 
-/// Reads a whole regular file; empty Result status on I/O failure.
+/// Reads a whole regular file into a buffer sized once by fstat.
 Result<std::string> SlurpFile(const std::string& path) {
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) return IoErrno("open " + path);
-  std::string out;
-  char buf[1 << 16];
-  while (true) {
-    ssize_t n = ::read(fd, buf, sizeof(buf));
+  struct stat st;
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return Status::IoError("not a regular file: " + path);
+  }
+  std::string out(static_cast<size_t>(st.st_size), '\0');
+  size_t off = 0;
+  while (off < out.size()) {
+    ssize_t n = ::read(fd, out.data() + off, out.size() - off);
     if (n < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
       return IoErrno("read " + path);
     }
-    if (n == 0) break;
-    out.append(buf, static_cast<size_t>(n));
+    if (n == 0) break;  // shrank under us: keep what was there
+    off += static_cast<size_t>(n);
   }
   ::close(fd);
+  out.resize(off);
   return out;
 }
 
@@ -251,6 +258,16 @@ Result<std::string> SimDisk::ReadDurable(const std::string& file) const {
   auto it = files_.find(file);
   if (it == files_.end()) return Status::NotFound("no such file: " + file);
   return it->second.durable;
+}
+
+Status SimDisk::ViewDurable(
+    const std::string& file,
+    const std::function<Status(std::string_view)>& fn) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  ++read_count_;
+  auto it = files_.find(file);
+  if (it == files_.end()) return Status::NotFound("no such file: " + file);
+  return fn(it->second.durable);
 }
 
 bool SimDisk::Exists(const std::string& file) const {

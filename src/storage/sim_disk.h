@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -90,6 +91,12 @@ class SimDisk {
 
   /// Reads only the durable bytes (what a post-crash process would see).
   Result<std::string> ReadDurable(const std::string& file) const;
+
+  /// ReadDurable without the copy: runs `fn` over the durable bytes and
+  /// returns its status. The disk is locked while `fn` runs, so `fn` must
+  /// not call back into it.
+  Status ViewDurable(const std::string& file,
+                     const std::function<Status(std::string_view)>& fn) const;
 
   bool Exists(const std::string& file) const;
   Status Delete(const std::string& file);

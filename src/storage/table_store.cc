@@ -1,14 +1,24 @@
 #include "storage/table_store.h"
 
+#include <algorithm>
+#include <condition_variable>
+#include <mutex>
+
+#include "net/worker_pool.h"
+
 namespace phoenix::storage {
 
 Result<RowId> Table::Insert(Row row, RowId rid_hint) {
   PHX_RETURN_IF_ERROR(schema_.CoerceRow(&row));
+  Row pk = PkOf(row);
+  return InsertCoerced(std::move(row), std::move(pk), rid_hint);
+}
+
+Result<RowId> Table::InsertCoerced(Row row, Row pk, RowId rid_hint) {
   // Each tree is descended at most once. A key past the tree's last key is
   // an append at end() with no search (checkpoint images and WAL replay
   // arrive in RowId order); otherwise one lower_bound both detects the
   // duplicate and is the emplace_hint position.
-  Row pk = PkOf(row);
   auto pk_pos = pk_index_.end();
   if (!pk.empty() && !pk_index_.empty() &&
       !RowLess{}(pk_index_.rbegin()->first, pk)) {
@@ -362,8 +372,8 @@ TableImage Table::Image() const {
 }
 
 TableImageEncoder::TableImageEncoder(Encoder* enc, const Table& table,
-                                     RowId next_rid)
-    : enc_(enc) {
+                                     RowId next_rid, uint32_t version)
+    : enc_(enc), version_(version) {
   enc_->PutString(table.name());
   enc_->PutSchema(table.schema());
   enc_->PutU32(static_cast<uint32_t>(table.pk_columns().size()));
@@ -371,18 +381,32 @@ TableImageEncoder::TableImageEncoder(Encoder* enc, const Table& table,
   enc_->PutU64(next_rid);
   count_at_ = enc_->size();
   enc_->PutU64(0);
+  bytes_at_ = enc_->size();
+  if (version_ >= 4) enc_->PutU64(0);
+  rows_at_ = enc_->size();
 }
 
 void TableImageEncoder::AddRow(RowId rid, const Row& row) {
+  if (rows_ % kCheckpointChunkRows == 0) {
+    chunks_.push_back(ImageChunk{enc_->size() - rows_at_, 0});
+  }
+  ++chunks_.back().rows;
   enc_->PutU64(rid);
   enc_->PutRow(row);
   ++rows_;
 }
 
-void TableImageEncoder::Finish(const std::vector<IndexDef>& indexes,
-                               bool with_indexes) {
+void TableImageEncoder::Finish(const std::vector<IndexDef>& indexes) {
   enc_->PatchU64(count_at_, rows_);
-  if (!with_indexes) return;
+  if (version_ >= 4) {
+    enc_->PatchU64(bytes_at_, enc_->size() - rows_at_);
+    enc_->PutU32(static_cast<uint32_t>(chunks_.size()));
+    for (const ImageChunk& chunk : chunks_) {
+      enc_->PutU64(chunk.offset);
+      enc_->PutU64(chunk.rows);
+    }
+  }
+  if (version_ < 3) return;
   // Definitions only: the entry trees are rebuilt from the rows on decode,
   // so an image can never carry an index inconsistent with its heap.
   enc_->PutU32(static_cast<uint32_t>(indexes.size()));
@@ -393,8 +417,143 @@ void TableImageEncoder::Finish(const std::vector<IndexDef>& indexes,
   }
 }
 
+namespace {
+
+/// One image row, decoded and coerced, with its PK projection.
+struct DecodedRow {
+  RowId rid;
+  Row row;
+  Row pk;
+};
+
+/// A chunk's rows as decoded off the inserting thread. `status` is what
+/// stopped the decode after `rows`, so rows before a bad row still insert
+/// first and the error order is the image order.
+struct DecodedChunk {
+  std::vector<DecodedRow> rows;
+  Status status;
+  size_t used = 0;  ///< bytes the decoded rows took
+};
+
+/// The least bytes one image row takes: its rid and its column count.
+constexpr size_t kMinRowBytes = 12;
+
+Status DecodeChunkRows(const Table& table, Decoder* dec, uint64_t count,
+                       DecodedChunk* out) {
+  for (uint64_t i = 0; i < count; ++i) {
+    PHX_ASSIGN_OR_RETURN(uint64_t rid, dec->GetU64());
+    PHX_ASSIGN_OR_RETURN(Row row, dec->GetRow());
+    PHX_RETURN_IF_ERROR(table.schema().CoerceRow(&row));
+    Row pk = table.PkOf(row);
+    out->rows.push_back(DecodedRow{rid, std::move(row), std::move(pk)});
+  }
+  return Status::Ok();
+}
+
+/// Hands a table's chunks, decoded, to the thread that inserts them, in
+/// chunk order. With a pool, workers decode up to `window` chunks ahead of
+/// the one being taken: enough to keep every thread busy, few enough that
+/// decoded-but-not-yet-inserted rows stay a small, fixed share of the heap.
+/// Without one (or with fewer than two chunks) Take() decodes on the
+/// calling thread. Decoding only reads the table, so it runs concurrently
+/// with the caller's inserts.
+class ChunkDecoder {
+ public:
+  ChunkDecoder(const Table& table, std::string_view rows,
+               const std::vector<ImageChunk>& dir, bool exact,
+               net::WorkerPool* pool)
+      : table_(table),
+        rows_(rows),
+        dir_(dir),
+        exact_(exact),
+        pool_(dir.size() >= 2 ? pool : nullptr),
+        window_(pool_ != nullptr ? 2 * pool_->threads() : 0),
+        chunks_(pool_ != nullptr ? dir.size() : 0),
+        ready_(chunks_.size(), 0) {}
+  ChunkDecoder(const ChunkDecoder&) = delete;
+  ChunkDecoder& operator=(const ChunkDecoder&) = delete;
+  /// Tasks still decoding reference this object: wait them out.
+  ~ChunkDecoder() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [this] { return in_flight_ == 0; });
+  }
+
+  /// Chunk `i`, decoded; called for i = 0, 1, ... in turn.
+  DecodedChunk Take(size_t i) {
+    if (pool_ == nullptr) return Decode(i);
+    for (; submitted_ < dir_.size() && submitted_ < i + window_; ++submitted_) {
+      auto task = [this, c = submitted_] {
+        DecodedChunk chunk = Decode(c);
+        std::lock_guard<std::mutex> lk(mu_);
+        chunks_[c] = std::move(chunk);
+        ready_[c] = 1;
+        --in_flight_;
+        cv_.notify_all();
+      };
+      {
+        std::lock_guard<std::mutex> lk(mu_);
+        ++in_flight_;
+      }
+      if (!pool_->Submit(task)) task();
+    }
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [&] { return ready_[i] != 0; });
+    return std::move(chunks_[i]);
+  }
+
+ private:
+  DecodedChunk Decode(size_t i) const {
+    DecodedChunk out;
+    size_t end = i + 1 < dir_.size() ? dir_[i + 1].offset : rows_.size();
+    std::string_view bytes = rows_.substr(dir_[i].offset, end - dir_[i].offset);
+    out.rows.reserve(std::min<uint64_t>(dir_[i].rows,
+                                        bytes.size() / kMinRowBytes));
+    Decoder dec(bytes);
+    out.status = DecodeChunkRows(table_, &dec, dir_[i].rows, &out);
+    out.used = dec.position();
+    if (out.status.ok() && exact_ && !dec.AtEnd()) {
+      out.status = Status::IoError(
+          "checkpoint chunk " + std::to_string(i) + " of table " +
+          table_.name() + " does not end at its directory boundary");
+    }
+    return out;
+  }
+
+  const Table& table_;
+  std::string_view rows_;
+  const std::vector<ImageChunk>& dir_;
+  const bool exact_;
+  net::WorkerPool* const pool_;  ///< null: decode on the calling thread
+  const size_t window_;
+  size_t submitted_ = 0;  ///< chunks handed to the pool (caller only)
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::vector<DecodedChunk> chunks_;  ///< guarded by mu_
+  std::vector<char> ready_;           ///< guarded by mu_
+  size_t in_flight_ = 0;              ///< guarded by mu_
+};
+
+}  // namespace
+
+Status Table::DecodeRows(std::string_view rows,
+                         const std::vector<ImageChunk>& dir, bool exact,
+                         net::WorkerPool* pool, size_t* used) {
+  ChunkDecoder decoder(*this, rows, dir, exact, pool);
+  for (size_t i = 0; i < dir.size(); ++i) {
+    DecodedChunk chunk = decoder.Take(i);
+    for (DecodedRow& r : chunk.rows) {
+      PHX_RETURN_IF_ERROR(
+          InsertCoerced(std::move(r.row), std::move(r.pk), r.rid).status());
+    }
+    PHX_RETURN_IF_ERROR(chunk.status);
+    *used = dir[i].offset + chunk.used;
+  }
+  return Status::Ok();
+}
+
 Result<std::unique_ptr<Table>> Table::DecodeSnapshot(Decoder* dec,
-                                                     bool with_indexes) {
+                                                     uint32_t version,
+                                                     net::WorkerPool* pool) {
   PHX_ASSIGN_OR_RETURN(std::string name, dec->GetString());
   PHX_ASSIGN_OR_RETURN(Schema schema, dec->GetSchema());
   PHX_ASSIGN_OR_RETURN(uint32_t num_pk, dec->GetU32());
@@ -407,16 +566,51 @@ Result<std::unique_ptr<Table>> Table::DecodeSnapshot(Decoder* dec,
                                        std::move(pk_cols), /*temporary=*/false);
   PHX_ASSIGN_OR_RETURN(uint64_t next_rid, dec->GetU64());
   PHX_ASSIGN_OR_RETURN(uint64_t num_rows, dec->GetU64());
-  for (uint64_t i = 0; i < num_rows; ++i) {
-    PHX_ASSIGN_OR_RETURN(uint64_t rid, dec->GetU64());
-    PHX_ASSIGN_OR_RETURN(Row row, dec->GetRow());
-    PHX_ASSIGN_OR_RETURN(RowId got, table->Insert(std::move(row), rid));
-    (void)got;
+  size_t used = 0;
+  if (version >= 4) {
+    PHX_ASSIGN_OR_RETURN(uint64_t rows_bytes, dec->GetU64());
+    PHX_ASSIGN_OR_RETURN(std::string_view rows, dec->GetBytes(rows_bytes));
+    // The directory must tile the row bytes: offsets start at 0, rise
+    // strictly and stay in bounds, and the counts sum to num_rows. Each
+    // chunk then has to decode to exactly its bytes (DecodeChunk).
+    PHX_ASSIGN_OR_RETURN(uint32_t num_chunks, dec->GetU32());
+    std::vector<ImageChunk> dir;
+    uint64_t covered = 0;
+    for (uint32_t i = 0; i < num_chunks; ++i) {
+      ImageChunk chunk;
+      PHX_ASSIGN_OR_RETURN(chunk.offset, dec->GetU64());
+      PHX_ASSIGN_OR_RETURN(chunk.rows, dec->GetU64());
+      bool in_order = i == 0 ? chunk.offset == 0
+                             : chunk.offset > dir.back().offset;
+      if (!in_order || chunk.offset >= rows.size() ||
+          chunk.rows > num_rows - covered) {
+        return Status::IoError("bad checkpoint chunk directory entry " +
+                               std::to_string(i) + " of table " +
+                               table->name());
+      }
+      covered += chunk.rows;
+      dir.push_back(chunk);
+    }
+    if (covered != num_rows || (dir.empty() && !rows.empty())) {
+      return Status::IoError("checkpoint chunk directory of table " +
+                             table->name() + " does not cover its " +
+                             std::to_string(num_rows) + " rows");
+    }
+    PHX_RETURN_IF_ERROR(
+        table->DecodeRows(rows, dir, /*exact=*/true, pool, &used));
+  } else {
+    // Older images have no directory: one chunk, decoded here, ending
+    // wherever its last row does.
+    std::vector<ImageChunk> dir;
+    if (num_rows > 0) dir.push_back(ImageChunk{0, num_rows});
+    PHX_RETURN_IF_ERROR(
+        table->DecodeRows(dec->Rest(), dir, /*exact=*/false, nullptr, &used));
+    PHX_RETURN_IF_ERROR(dec->GetBytes(used).status());
   }
   // Restore next_rid last: Insert() advances it, but the checkpoint value is
   // authoritative (rows may have been deleted at the high end).
   if (next_rid > table->next_rid_) table->next_rid_ = next_rid;
-  if (with_indexes) {
+  if (version >= 3) {
     PHX_ASSIGN_OR_RETURN(uint32_t num_idx, dec->GetU32());
     for (uint32_t i = 0; i < num_idx; ++i) {
       PHX_ASSIGN_OR_RETURN(std::string idx_name, dec->GetString());
@@ -518,11 +712,12 @@ CatalogImage TableStore::CapturePersistent() const {
   return catalog;
 }
 
-Status TableStore::DecodeSnapshot(Decoder* dec, bool with_indexes) {
+Status TableStore::DecodeSnapshot(Decoder* dec, uint32_t version,
+                                  net::WorkerPool* pool) {
   PHX_ASSIGN_OR_RETURN(uint32_t n, dec->GetU32());
   for (uint32_t i = 0; i < n; ++i) {
     PHX_ASSIGN_OR_RETURN(std::unique_ptr<Table> table,
-                         Table::DecodeSnapshot(dec, with_indexes));
+                         Table::DecodeSnapshot(dec, version, pool));
     std::string key = table->name();
     tables_[key] = std::move(table);
   }

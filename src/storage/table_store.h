@@ -7,6 +7,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/codec.h"
@@ -14,9 +15,30 @@
 #include "common/status.h"
 #include "common/value.h"
 
+namespace phoenix::net {
+class WorkerPool;
+}  // namespace phoenix::net
+
 namespace phoenix::storage {
 
 using RowId = uint64_t;
+
+/// The table image format TableImageEncoder writes by default. v1/v2 tables
+/// carry no index definitions; v3 adds them; v4 adds the rows' byte length
+/// and a chunk directory, so restart can decode chunks in parallel.
+inline constexpr uint32_t kImageVersion = 4;
+
+/// Rows per chunk of a v4 table image's chunk directory. Also the rids a
+/// checkpoint examines per shared hold of the data lock, so a writer waits
+/// for at most one chunk, never for a whole table.
+inline constexpr size_t kCheckpointChunkRows = 1024;
+
+/// One chunk-directory entry of a v4 table image: where the chunk's rows
+/// start, relative to the first row, and how many rows it holds.
+struct ImageChunk {
+  uint64_t offset = 0;
+  uint64_t rows = 0;
+};
 
 /// MVCC stamp on a row version: the commit LSN that created (or deleted)
 /// it, or the pending transaction id while its writer is uncommitted.
@@ -211,14 +233,26 @@ class Table : public std::enable_shared_from_this<Table> {
     return dead_pk_;
   }
 
-  /// Decodes one table of a checkpoint image (TableImageEncoder's format;
-  /// `with_indexes = false` for v1/v2 images, which predate indexes). Index
-  /// entries are rebuilt from the rows, so tree and heap agree by
-  /// construction.
+  /// Decodes one table of a `version` checkpoint image (TableImageEncoder's
+  /// format). With a pool, workers decode a v4 table's chunks — GetRow,
+  /// CoerceRow, PkOf — while the calling thread inserts them in image
+  /// order; without one, or for a table of fewer than two chunks, the
+  /// calling thread does both. Either way the first bad row in image order
+  /// is the error. Index entries are rebuilt from the rows, so tree and
+  /// heap agree by construction.
   static Result<std::unique_ptr<Table>> DecodeSnapshot(
-      Decoder* dec, bool with_indexes = true);
+      Decoder* dec, uint32_t version = kImageVersion,
+      net::WorkerPool* pool = nullptr);
 
  private:
+  /// Insert() after CoerceRow, with the row's PK projection `pk` in hand.
+  Result<RowId> InsertCoerced(Row row, Row pk, RowId rid_hint);
+  /// Decodes and inserts the rows of `dir`'s chunks from `rows`, the
+  /// table's row bytes. `exact`: each chunk must end where the next begins
+  /// (v4); otherwise `*used` reports where the last row ended.
+  Status DecodeRows(std::string_view rows, const std::vector<ImageChunk>& dir,
+                    bool exact, net::WorkerPool* pool, size_t* used);
+
   std::string name_;
   Schema schema_;
   std::vector<int> pk_columns_;
@@ -255,19 +289,26 @@ struct TableImage {
 using CatalogImage = std::map<std::string, TableImage>;
 
 /// The one encoder of the table image format: name, schema, PK columns,
-/// next_rid, row count, (rid, row) pairs in RowId order, then — image v3
-/// only — the index definitions. Rows stream in one at a time (a checkpoint
-/// adds them chunk by chunk); Finish patches the row count in.
+/// next_rid, row count, (v4) the rows' byte length, (rid, row) pairs in
+/// RowId order, (v4) the chunk directory — one ImageChunk per
+/// kCheckpointChunkRows rows — and (v3+) the index definitions. Rows stream
+/// in one at a time (a checkpoint adds them chunk by chunk); Finish patches
+/// the counts in. Older `version`s exist so tests can write old images.
 class TableImageEncoder {
  public:
-  TableImageEncoder(Encoder* enc, const Table& table, RowId next_rid);
+  TableImageEncoder(Encoder* enc, const Table& table, RowId next_rid,
+                    uint32_t version = kImageVersion);
   void AddRow(RowId rid, const Row& row);
-  void Finish(const std::vector<IndexDef>& indexes, bool with_indexes = true);
+  void Finish(const std::vector<IndexDef>& indexes);
 
  private:
   Encoder* enc_;
+  uint32_t version_;
   size_t count_at_ = 0;  ///< offset of the row-count slot
+  size_t bytes_at_ = 0;  ///< offset of the row-bytes slot (v4)
+  size_t rows_at_ = 0;   ///< offset of the first row
   uint64_t rows_ = 0;
+  std::vector<ImageChunk> chunks_;
 };
 
 /// The set of all tables. Names are case-insensitive (stored uppercased).
@@ -290,10 +331,11 @@ class TableStore {
   std::vector<std::string> DropSessionTemps(uint64_t session_id);
 
   /// Serializes the live rows of all *persistent* tables as a checkpoint
-  /// payload; decode v1/v2 payloads (no index definitions) with
-  /// `with_indexes = false`.
+  /// payload in the current format; DecodeSnapshot reads any `version`'s
+  /// payload, decoding each table's chunks on `pool` when one is given.
   void EncodeSnapshot(Encoder* enc) const;
-  Status DecodeSnapshot(Decoder* dec, bool with_indexes = true);
+  Status DecodeSnapshot(Decoder* dec, uint32_t version = kImageVersion,
+                        net::WorkerPool* pool = nullptr);
 
   /// The Image() of every persistent table: O(tables), not O(rows).
   CatalogImage CapturePersistent() const;

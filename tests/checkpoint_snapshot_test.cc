@@ -59,8 +59,8 @@ Status ReadImage(const SimDisk& disk, uint64_t* fence, TableStore* store) {
   Decoder dec(bytes);
   PHX_ASSIGN_OR_RETURN(uint32_t magic, dec.GetU32());
   PHX_ASSIGN_OR_RETURN(uint32_t version, dec.GetU32());
-  if (magic != 0x50485843 || version != 3) {
-    return Status::Internal("not a v3 checkpoint image");
+  if (magic != 0x50485843 || version != storage::kImageVersion) {
+    return Status::Internal("not a current-version checkpoint image");
   }
   PHX_ASSIGN_OR_RETURN(uint64_t next_txn_id, dec.GetU64());
   (void)next_txn_id;

@@ -417,5 +417,29 @@ TEST(Options, FromEnvParsesKnobs) {
   EXPECT_EQ(eng::DatabaseOptions(o).checkpoint_every_n_commits, 16u);
 }
 
+// Thread-count knobs are clamped when parsed; nothing here starts a thread.
+TEST(Options, ThreadKnobsDefaultToTheCpusAndAreClamped) {
+  ScopedEnv env;
+  const uint64_t cpus = AvailableCpus();
+  ASSERT_GE(cpus, 1u);
+  env.Set("PHX_WORKERS", "");
+  env.Set("PHX_RECOVERY_THREADS", "");
+  Options o = Options::FromEnv();
+  EXPECT_EQ(o.recovery_threads, cpus);  // the default: one per usable CPU
+  EXPECT_EQ(o.worker_threads, 4u);
+
+  env.Set("PHX_WORKERS", "18446744073709551615");
+  env.Set("PHX_RECOVERY_THREADS", "1000000000");
+  o = Options::FromEnv();
+  EXPECT_EQ(o.worker_threads, kMaxThreadsPerCpu * cpus);
+  EXPECT_EQ(o.recovery_threads, kMaxThreadsPerCpu * cpus);
+
+  env.Set("PHX_WORKERS", "0");
+  env.Set("PHX_RECOVERY_THREADS", "1");  // the fully serial path stays
+  o = Options::FromEnv();
+  EXPECT_EQ(o.worker_threads, 1u);
+  EXPECT_EQ(o.recovery_threads, 1u);
+}
+
 }  // namespace
 }  // namespace phoenix

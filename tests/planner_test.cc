@@ -667,9 +667,9 @@ TEST_F(PlannerTest, V2CheckpointImageStillAccepted) {
   enc.PutU64(fence);
   enc.PutU32(1);
   const storage::Table* t2 = db_->store()->Get("T2");
-  storage::TableImageEncoder out(&enc, *t2, t2->next_rid());
+  storage::TableImageEncoder out(&enc, *t2, t2->next_rid(), /*version=*/2);
   for (const auto& [rid, row] : t2->rows()) out.AddRow(rid, row);
-  out.Finish({}, /*with_indexes=*/false);
+  out.Finish({});
   std::string file = db_->durability()->ckpt_file();
   ASSERT_TRUE(disk_.WriteAtomic(file, enc.Take()).ok());
   CrashAndRestart();

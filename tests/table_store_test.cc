@@ -2,7 +2,10 @@
 
 #include "storage/table_store.h"
 
+#include <cstring>
+
 #include "common/rng.h"
+#include "net/worker_pool.h"
 
 #include "gtest/gtest.h"
 
@@ -443,6 +446,269 @@ TEST(Table, ImageRoundTripWithPkOrderUnlikeRowIdOrder) {
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_EQ(t.next_rid(), 401u);
   EXPECT_EQ(DumpTable(**back), DumpTable(t));
+}
+
+// ---- v4 images: the chunk directory and parallel decode -------------------
+
+constexpr uint64_t kChunk = kCheckpointChunkRows;
+
+Schema MixedSchema() {
+  Schema s;
+  s.AddColumn(Column{"K", DataType::kInt64, false});
+  s.AddColumn(Column{"S", DataType::kString, true});
+  s.AddColumn(Column{"D", DataType::kDouble, true});
+  s.AddColumn(Column{"B", DataType::kBool, true});
+  return s;
+}
+
+Value MaybeNull(Rng* rng, Value v) {
+  return rng->NextBool(0.2) ? Value::Null() : std::move(v);
+}
+
+/// Four tables whose images cover every decode branch: MIXED has >5 chunks,
+/// shuffled keys (PK order unlike RowId order), NULLs, strings of varied
+/// length, holes from deletes and two secondary indexes; EXACT has exactly
+/// 6 * kChunk rows after its deletes and no PK; EMPTY has no rows but an
+/// index; SMALL fits in one chunk.
+void BuildImageStore(uint64_t seed, TableStore* store) {
+  Rng rng(seed);
+  Table* mixed = *store->CreateTable("MIXED", MixedSchema(), {0}, false);
+  ASSERT_TRUE(mixed->CreateIndex("BY_S", {1}).ok());
+  ASSERT_TRUE(mixed->CreateIndex("BY_B_D", {3, 2}).ok());
+  std::vector<int64_t> keys(6 * kChunk + 700);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = static_cast<int64_t>(i);
+  for (size_t i = keys.size(); i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng.NextBelow(i)]);
+  }
+  for (int64_t k : keys) {
+    Row row{Value::Int64(k),
+            MaybeNull(&rng, Value::String(rng.NextString(rng.NextBelow(40)))),
+            MaybeNull(&rng, Value::Double(rng.NextDouble())),
+            MaybeNull(&rng, Value::Bool(rng.NextBool()))};
+    ASSERT_TRUE(mixed->Insert(std::move(row)).ok());
+  }
+  for (int i = 0; i < 400; ++i) (void)mixed->Delete(1 + rng.NextBelow(keys.size()));
+
+  Table* exact = *store->CreateTable("EXACT", KvSchema(), {}, false);
+  for (uint64_t i = 0; i < 6 * kChunk + 50; ++i) {
+    ASSERT_TRUE(exact->Insert(Row{Value::Int64(static_cast<int64_t>(i % 97)),
+                                  Value::String(rng.NextString(8))})
+                    .ok());
+  }
+  while (exact->num_rows() > 6 * kChunk) {
+    (void)exact->Delete(1 + rng.NextBelow(exact->next_rid() - 1));
+  }
+
+  Table* empty = *store->CreateTable("EMPTY", KvSchema(), {0}, false);
+  ASSERT_TRUE(empty->CreateIndex("BY_V", {1}).ok());
+
+  Table* small = *store->CreateTable("SMALL", KvSchema(), {0}, false);
+  for (int64_t k = 0; k < 300; ++k) {
+    ASSERT_TRUE(small->Insert(Row{Value::Int64(-k), Value::Null()}).ok());
+  }
+}
+
+std::map<std::string, std::string> DumpStore(const TableStore& store) {
+  std::map<std::string, std::string> out;
+  for (const std::string& name : store.ListNames()) {
+    out[name] = DumpTable(*store.Get(name));
+  }
+  return out;
+}
+
+Status DecodeStore(const std::string& image, size_t threads,
+                   TableStore* store) {
+  Decoder dec(image);
+  if (threads <= 1) return store->DecodeSnapshot(&dec);
+  net::WorkerPool pool({threads, threads * 4});
+  return store->DecodeSnapshot(&dec, kImageVersion, &pool);
+}
+
+// Property: over seeded stores, a v4 image decodes to the same rows by
+// RowId, PK index, secondary-index entries and next_rid at 1 and 4 threads,
+// and both equal the table the image was taken from.
+TEST(TableImage, ParallelDecodeMatchesSerialProperty) {
+  for (uint64_t seed : {11u, 12u, 13u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    TableStore src;
+    BuildImageStore(seed, &src);
+    ASSERT_GE(src.Get("MIXED")->num_rows(), 5 * kChunk);
+    ASSERT_EQ(src.Get("EXACT")->num_rows(), 6 * kChunk);
+    Encoder enc;
+    src.EncodeSnapshot(&enc);
+    TableStore serial, parallel;
+    ASSERT_TRUE(DecodeStore(enc.data(), 1, &serial).ok());
+    ASSERT_TRUE(DecodeStore(enc.data(), 4, &parallel).ok());
+    EXPECT_EQ(DumpStore(serial), DumpStore(src));
+    EXPECT_EQ(DumpStore(parallel), DumpStore(src));
+  }
+}
+
+/// A one-table image of `num_chunks` full chunks of (k, "v") rows, rid ==
+/// k + 1, with bad rows planted: row 10 of `dup_pk_chunk` repeats key 5,
+/// row 20 of `collide_chunk` reuses rid 7 and row 30 of `arity_chunk` has
+/// one column. A chunk number past the end plants nothing.
+std::string PlantedImage(uint64_t num_chunks, uint64_t dup_pk_chunk,
+                         uint64_t collide_chunk, uint64_t arity_chunk) {
+  Table src("T", KvSchema(), {0}, false);
+  Encoder enc;
+  TableImageEncoder out(&enc, src, num_chunks * kChunk + 1);
+  for (uint64_t i = 0; i < num_chunks * kChunk; ++i) {
+    const uint64_t chunk = i / kChunk;
+    const uint64_t at = i % kChunk;
+    RowId rid = i + 1;
+    Row row{Value::Int64(static_cast<int64_t>(i)), Value::String("v")};
+    if (chunk == dup_pk_chunk && at == 10) row[0] = Value::Int64(5);
+    if (chunk == collide_chunk && at == 20) rid = 7;
+    if (chunk == arity_chunk && at == 30) row.pop_back();
+    out.AddRow(rid, row);
+  }
+  out.Finish({});
+  return enc.Take();
+}
+
+Status DecodeTable(const std::string& image, size_t threads) {
+  Decoder dec(image);
+  if (threads <= 1) return Table::DecodeSnapshot(&dec).status();
+  net::WorkerPool pool({threads, threads * 4});
+  return Table::DecodeSnapshot(&dec, kImageVersion, &pool).status();
+}
+
+// The first bad row in image order is the error, whichever thread decoded
+// it and whichever check (CoerceRow, PK uniqueness, RowId collision) it
+// fails.
+TEST(TableImage, FirstBadRowInImageOrderWinsAtAnyThreadCount) {
+  const std::string all = PlantedImage(6, 2, 4, 5);
+  const std::string no_dup = PlantedImage(6, 99, 4, 5);
+  const std::string arity_only = PlantedImage(6, 99, 99, 5);
+  // A decode error after an insert error in the same chunk comes second.
+  const std::string same_chunk = PlantedImage(6, 3, 99, 3);
+  ASSERT_TRUE(DecodeTable(PlantedImage(6, 99, 99, 99), 4).ok());
+  for (size_t threads : {1u, 2u, 4u, 8u}) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    Status st = DecodeTable(all, threads);
+    EXPECT_EQ(st.code(), StatusCode::kConstraint) << st.ToString();
+    EXPECT_NE(st.message().find("duplicate primary key (5)"),
+              std::string::npos)
+        << st.ToString();
+    st = DecodeTable(no_dup, threads);
+    EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
+    EXPECT_NE(st.message().find("RowId collision"), std::string::npos);
+    EXPECT_EQ(DecodeTable(arity_only, threads).code(), StatusCode::kSqlError);
+    EXPECT_EQ(DecodeTable(same_chunk, threads).code(), StatusCode::kConstraint);
+  }
+}
+
+void PutU32At(std::string* s, size_t at, uint32_t v) {
+  std::memcpy(s->data() + at, &v, sizeof(v));  // little-endian host
+}
+void PutU64At(std::string* s, size_t at, uint64_t v) {
+  std::memcpy(s->data() + at, &v, sizeof(v));
+}
+uint64_t U64At(const std::string& s, size_t at) {
+  uint64_t v;
+  std::memcpy(&v, s.data() + at, sizeof(v));
+  return v;
+}
+
+// A directory that does not tile the row bytes — truncated, out of range,
+// out of order, not summing to the row count, or with a boundary that is
+// not a row boundary — is an IoError, never a crash or a partial table.
+// So are row bytes left over after a chunk's last row.
+TEST(TableImage, CorruptChunkDirectoryIsAnIoError) {
+  const std::string image = PlantedImage(6, 99, 99, 99);
+  // Locate the rows-bytes slot and the directory from the header.
+  Decoder dec(image);
+  ASSERT_TRUE(dec.GetString().ok());
+  ASSERT_TRUE(dec.GetSchema().ok());
+  uint32_t num_pk = *dec.GetU32();
+  for (uint32_t i = 0; i < num_pk; ++i) ASSERT_TRUE(dec.GetI32().ok());
+  ASSERT_TRUE(dec.GetU64().ok());  // next_rid
+  ASSERT_EQ(*dec.GetU64(), 6 * kChunk);
+  const size_t rows_bytes_at = dec.position();
+  const uint64_t rows_bytes = U64At(image, rows_bytes_at);
+  const size_t dir_at = rows_bytes_at + 8 + rows_bytes;
+  auto entry = [&](size_t i) { return dir_at + 4 + 16 * i; };
+  ASSERT_EQ(image.size(), entry(6) + 4);  // directory, then 0 indexes
+  ASSERT_EQ(U64At(image, entry(0)), 0u);
+
+  std::vector<std::pair<std::string, std::string>> cases;
+  auto patched = [&](const char* what, auto edit) {
+    std::string bad = image;
+    edit(&bad);
+    cases.emplace_back(what, std::move(bad));
+  };
+  cases.emplace_back("truncated entry", image.substr(0, entry(2) + 5));
+  cases.emplace_back("truncated count", image.substr(0, dir_at + 2));
+  patched("count past the end", [&](std::string* s) {
+    PutU32At(s, dir_at, 0xFFFFFFFFu);
+  });
+  patched("no entries", [&](std::string* s) { PutU32At(s, dir_at, 0); });
+  patched("rows bytes past the end", [&](std::string* s) {
+    PutU64At(s, rows_bytes_at, uint64_t{1} << 62);
+  });
+  patched("first offset not 0", [&](std::string* s) {
+    PutU64At(s, entry(0), 1);
+  });
+  patched("offset out of range", [&](std::string* s) {
+    PutU64At(s, entry(5), rows_bytes + 100);
+  });
+  patched("offsets not increasing", [&](std::string* s) {
+    PutU64At(s, entry(3), U64At(image, entry(2)));
+  });
+  patched("counts short of num_rows", [&](std::string* s) {
+    PutU64At(s, entry(5) + 8, kChunk - 1);
+  });
+  patched("count overflows", [&](std::string* s) {
+    PutU64At(s, entry(1) + 8, ~uint64_t{0});
+  });
+  patched("counts shifted between chunks", [&](std::string* s) {
+    PutU64At(s, entry(0) + 8, kChunk - 1);
+    PutU64At(s, entry(1) + 8, kChunk + 1);
+  });
+  patched("boundary inside a row", [&](std::string* s) {
+    PutU64At(s, entry(2), U64At(image, entry(2)) + 3);
+  });
+  patched("bytes after the last row", [&](std::string* s) {
+    s->insert(dir_at, 5, '\0');
+    PutU64At(s, rows_bytes_at, rows_bytes + 5);
+  });
+  for (const auto& [what, bad] : cases) {
+    for (size_t threads : {1u, 4u}) {
+      Status st = DecodeTable(bad, threads);
+      EXPECT_EQ(st.code(), StatusCode::kIoError)
+          << what << " at " << threads << " threads: " << st.ToString();
+    }
+  }
+}
+
+// v1-v3 images carry no directory: they decode as one chunk, and a v3 image
+// of a table decodes to the same table as its v4 image.
+TEST(TableImage, V3ImageDecodesLikeV4) {
+  TableStore src;
+  BuildImageStore(21, &src);
+  for (const std::string& name : src.ListNames()) {
+    SCOPED_TRACE(name);
+    const Table& t = *src.Get(name);
+    std::string images[2];
+    for (uint32_t version : {3u, 4u}) {
+      Encoder enc;
+      TableImageEncoder out(&enc, t, t.next_rid(), version);
+      for (const auto& [rid, row] : t.rows()) out.AddRow(rid, row);
+      out.Finish(t.IndexDefs());
+      enc.PutU32(0xC0FFEE);  // the next table's bytes must stay unread
+      images[version - 3] = enc.Take();
+    }
+    EXPECT_LT(images[0].size(), images[1].size());
+    for (uint32_t version : {3u, 4u}) {
+      Decoder dec(images[version - 3]);
+      net::WorkerPool pool({4, 16});
+      auto back = Table::DecodeSnapshot(&dec, version, &pool);
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      EXPECT_EQ(DumpTable(**back), DumpTable(t)) << "v" << version;
+      EXPECT_EQ(*dec.GetU32(), 0xC0FFEEu) << "v" << version;
+    }
+  }
 }
 
 }  // namespace
