@@ -96,7 +96,6 @@ PhaseResult RunPhase(const Mode& mode) {
   net::ServerOptions opts;
   opts.db.checkpoint_every_n_commits = mode.checkpoint_every_n;
   opts.worker_threads = 16;
-  opts.queue_capacity = 256;
   net::DbServer server(&disk, opts);
   BenchEnv::Check(server.Start(), "server start");
   net::Network network;

@@ -70,7 +70,6 @@ PhaseResult RunPhase(int clients) {
   disk.set_sync_latency_us(kSyncLatencyUs);
   net::ServerOptions opts;
   opts.worker_threads = 16;
-  opts.queue_capacity = 256;
   net::DbServer server(&disk, opts);
   BenchEnv::Check(server.Start(), "server start");
   net::Network network;

@@ -121,7 +121,6 @@ MixCell RunMixCell(int readers) {
   storage::SimDisk disk;
   net::ServerOptions opts;
   opts.worker_threads = static_cast<size_t>(readers) + 2;
-  opts.queue_capacity = 256;
   net::DbServer server(&disk, opts);
   BenchEnv::Check(server.Start(), "server start");
   net::Network network;
@@ -265,7 +264,6 @@ void Main() {
   storage::SimDisk disk;
   net::ServerOptions opts;
   opts.worker_threads = 8;
-  opts.queue_capacity = 256;
   net::DbServer server(&disk, opts);
   BenchEnv::Check(server.Start(), "server start");
   net::Network network;
@@ -289,7 +287,7 @@ void Main() {
   }
 
   std::printf("Multi-client scaling: %d ops/client, %lluus RT latency, "
-              "%zu worker threads\n",
+              "%zu requests executing at once\n",
               kOpsPerClient,
               static_cast<unsigned long long>(kRoundTripLatencyUs),
               opts.worker_threads);
@@ -326,11 +324,10 @@ void Main() {
   PrintRule();
   std::printf("1 -> 8 client speedup: %.2fx (acceptance floor: 2x)\n",
               speedup_1_to_8);
-  if (net::WorkerPool* pool = server.pool()) {
-    std::printf("pool: %llu tasks executed, queue high-water %zu\n",
-                static_cast<unsigned long long>(pool->tasks_executed()),
-                pool->queue_high_water());
-  }
+  net::ServerStats stats = server.stats();
+  std::printf("admission: %llu requests executed, %llu waited for a slot\n",
+              static_cast<unsigned long long>(stats.requests_executed),
+              static_cast<unsigned long long>(stats.admission_waits));
 
   RunReadWhileWriteMix();
 

@@ -4,7 +4,7 @@
 #   2. ThreadSanitizer                                (data races)
 # TSan is a separate lane because it cannot be combined with ASan. The TSan
 # lane is the merge gate for anything touching the concurrent DbServer (its
-# worker pool and per-session mutexes), the socket transport, or engine
+# admission gate and per-session mutexes), the socket transport, or engine
 # locking: it must pass with zero reports.
 #
 # A third lane, `chaos`, runs only the seeded fault-schedule matrix, the WAL

@@ -28,7 +28,7 @@ inline constexpr uint64_t kMaxThreadsPerCpu = 8;
 ///
 ///   PHX_CKPT_EVERY=<n>         auto-checkpoint after n logged commits
 ///                              (default 0 = manual checkpoints only)
-///   PHX_WORKERS=<n>            phoenixd dispatcher worker threads
+///   PHX_WORKERS=<n>            phoenixd requests executing at once
 ///                              (default 4)
 ///   PHX_RECOVERY_THREADS=<n>   recovery pool threads: checkpoint-image
 ///                              chunks decode and WAL replay partitions by

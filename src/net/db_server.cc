@@ -1,31 +1,25 @@
 #include "net/db_server.h"
 
-#include <future>
-
 #include "obs/metrics.h"
 
 namespace phoenix::net {
 
 DbServer::DbServer(storage::SimDisk* disk, ServerOptions opts)
     : disk_(disk), opts_(std::move(opts)) {
+  if (opts_.worker_threads == 0) opts_.worker_threads = 1;
   epoch_.store(opts_.initial_epoch, std::memory_order_relaxed);
 }
 
 DbServer::~DbServer() {
-  // Graceful stop, NOT a crash: drain the dispatcher so no worker outlives
-  // the Database, but leave the disk exactly as the last operation left it
-  // (a destructor must not alter durability semantics).
-  std::unique_ptr<WorkerPool> pool;
-  {
-    std::unique_lock<std::shared_mutex> lk(lifecycle_mu_);
-    accepting_ = false;
-    pool = std::move(pool_);
-  }
-  if (pool != nullptr) pool->Shutdown();
+  // Graceful stop, NOT a crash: let running requests finish so none
+  // outlives the Database, but leave the disk exactly as the last operation
+  // left it (a destructor must not alter durability semantics).
+  std::unique_lock<std::mutex> lk(mu_);
+  CloseIntake(lk);
 }
 
 Status DbServer::Start() {
-  std::unique_lock<std::shared_mutex> lk(lifecycle_mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   if (db_ != nullptr) return Status::Internal("server already started");
   eng::DatabaseOptions db_opts = opts_.db;
   if (next_session_id_ < opts_.first_session_id) {
@@ -35,45 +29,41 @@ Status DbServer::Start() {
   auto db = std::make_unique<eng::Database>(disk_, db_opts);
   PHX_RETURN_IF_ERROR(db->Open());
   db_ = std::move(db);
-  WorkerPool::Options pool_opts;
-  pool_opts.threads = opts_.worker_threads;
-  pool_opts.queue_capacity = opts_.queue_capacity;
-  pool_ = std::make_unique<WorkerPool>(pool_opts);
   accepting_ = true;
   epoch_.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
 }
 
+void DbServer::CloseIntake(std::unique_lock<std::mutex>& lk) {
+  accepting_ = false;
+  cv_.notify_all();
+  cv_.wait(lk, [this] { return running_ == 0 && waiting_ == 0; });
+}
+
 bool DbServer::CrashImpl(const std::function<void()>& crash_disk,
                          std::optional<eng::CheckpointCrashPoint> mid_checkpoint) {
-  // Phase 1: close intake. New requests now get "server is down".
-  std::unique_ptr<WorkerPool> pool;
-  {
-    std::unique_lock<std::shared_mutex> lk(lifecycle_mu_);
-    accepting_ = false;
-    pool = std::move(pool_);
-  }
-  // Phase 2: graceful drain, outside the lifecycle lock — in-flight
-  // requests still see a live Database and complete normally (they beat
-  // the crash; whether their effects survive depends on what was synced).
-  if (pool != nullptr) pool->Shutdown();
+  // Phases 1 and 2: close intake — a request not yet admitted gets "server
+  // is down" — and wait for the admitted ones. They still see a live
+  // Database and complete normally (they beat the crash; whether their
+  // effects survive depends on what was synced).
+  std::unique_lock<std::mutex> lk(mu_);
+  CloseIntake(lk);
   // Phase 3: the process dies. All volatile server state goes with it.
+  // Still under mu_, so no Restart() can boot on the disk before its
+  // unsynced bytes are gone.
   bool ckpt_written = false;
-  {
-    std::unique_lock<std::shared_mutex> lk(lifecycle_mu_);
-    if (db_ != nullptr) {
-      if (mid_checkpoint.has_value()) {
-        // Death inside a checkpoint: the protocol ran up to the chosen
-        // crash point (e.g. image durable, WAL truncation never happened)
-        // and the process dies now.
-        bool wrote = false;
-        ckpt_written =
-            db_->CheckpointForCrashTest(*mid_checkpoint, &wrote).ok() && wrote;
-      }
-      next_session_id_ = db_->next_session_id();
+  if (db_ != nullptr) {
+    if (mid_checkpoint.has_value()) {
+      // Death inside a checkpoint: the protocol ran up to the chosen crash
+      // point (e.g. image durable, WAL truncation never happened) and the
+      // process dies now.
+      bool wrote = false;
+      ckpt_written =
+          db_->CheckpointForCrashTest(*mid_checkpoint, &wrote).ok() && wrote;
     }
-    db_.reset();
+    next_session_id_ = db_->next_session_id();
   }
+  db_.reset();
   crash_disk();
   return ckpt_written;
 }
@@ -98,14 +88,14 @@ bool DbServer::CrashMidCheckpoint(eng::CheckpointCrashPoint point) {
 
 Status DbServer::Restart() {
   {
-    std::shared_lock<std::shared_mutex> lk(lifecycle_mu_);
+    std::lock_guard<std::mutex> lk(mu_);
     if (db_ != nullptr) return Status::Internal("server is already running");
   }
   return Start();
 }
 
 bool DbServer::alive() const {
-  std::shared_lock<std::shared_mutex> lk(lifecycle_mu_);
+  std::lock_guard<std::mutex> lk(mu_);
   return db_ != nullptr;
 }
 
@@ -114,6 +104,11 @@ ServerStats DbServer::stats() const {
   s.requests_handled = requests_handled_.load(std::memory_order_relaxed);
   s.requests_rejected_down =
       requests_rejected_down_.load(std::memory_order_relaxed);
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    s.requests_executed = requests_executed_;
+    s.admission_waits = admission_waits_;
+  }
   std::lock_guard<std::mutex> lk(session_locks_mu_);
   s.session_locks = session_locks_.size();
   return s;
@@ -143,8 +138,8 @@ Response DbServer::Handle(const Request& request) {
       ->Increment();
   // Session 0 (connect, ping, admin) names no session state to protect.
   if (request.session_id == 0) return Execute(request);
-  // Held while the request waits in the pool queue and runs, so a caller —
-  // not a worker — blocks on a busy session.
+  // Taken before the execution slot, so a request waiting on a busy
+  // session never holds a slot.
   SessionLock* lock = LockSession(request.session_id);
   Response response = Execute(request);
   UnlockSession(request.session_id, lock);
@@ -152,32 +147,51 @@ Response DbServer::Handle(const Request& request) {
 }
 
 Response DbServer::Execute(const Request& request) {
-  // Owned jointly with the task: get() can return, and this frame unwind,
-  // while the worker is still inside set_value.
-  auto promise = std::make_shared<std::promise<Response>>();
-  std::future<Response> future = promise->get_future();
-  bool accepted = false;
+  auto* reg = obs::MetricsRegistry::Default();
   {
-    std::shared_lock<std::shared_mutex> lk(lifecycle_mu_);
-    accepted = accepting_ && db_ != nullptr && pool_ != nullptr &&
-               pool_->Submit([this, &request, promise] {
-                 Response response = Dispatch(request);
-                 response.request_id = request.request_id;
-                 promise->set_value(std::move(response));
-               });
+    std::unique_lock<std::mutex> lk(mu_);
+    if (accepting_ && running_ >= opts_.worker_threads) {
+      ++admission_waits_;
+      reg->GetCounter("server.pool.submit_waits")->Increment();
+      obs::Gauge* depth = reg->GetGauge("server.pool.queue_depth");
+      depth->Set(static_cast<int64_t>(++waiting_));
+      cv_.wait(lk, [this] {
+        return !accepting_ || running_ < opts_.worker_threads;
+      });
+      depth->Set(static_cast<int64_t>(--waiting_));
+    }
+    if (!accepting_) {
+      if (running_ == 0 && waiting_ == 0) cv_.notify_all();  // CloseIntake
+      lk.unlock();
+      requests_rejected_down_.fetch_add(1, std::memory_order_relaxed);
+      Response down = Response::MakeError(Status::CommError("server is down"));
+      down.request_id = request.request_id;
+      return down;
+    }
+    ++running_;
   }
-  if (!accepted) {
-    requests_rejected_down_.fetch_add(1, std::memory_order_relaxed);
-    Response down = Response::MakeError(Status::CommError("server is down"));
-    down.request_id = request.request_id;
-    return down;
+  Response response = Dispatch(request);
+  response.request_id = request.request_id;
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    --running_;
+    ++requests_executed_;
+    // While intake is open only slot waiters sleep on cv_; once it is
+    // closed only CloseIntake does.
+    if (accepting_) {
+      if (waiting_ > 0) cv_.notify_one();
+    } else if (running_ == 0) {
+      cv_.notify_all();
+    }
   }
-  return future.get();
+  reg->GetCounter("server.pool.tasks")->Increment();
+  return response;
 }
 
 Response DbServer::Dispatch(const Request& req) {
-  // Runs on a pool worker. db_ is stable for the whole task: Crash() drains
-  // the pool (joining this thread) before destroying the Database.
+  // Runs on the calling thread, holding an execution slot. db_ is stable
+  // for the whole request: Crash() waits for every admitted request before
+  // destroying the Database.
   if (opts_.pre_dispatch_hook) opts_.pre_dispatch_hook(req);
   eng::Database* db = db_.get();
   switch (req.kind) {

@@ -38,7 +38,7 @@ struct ProcessServerOptions {
   uint64_t server_id = 0;
   /// Auto-checkpoint cadence for the child (0 = never).
   uint64_t checkpoint_every_n_commits = 0;
-  /// Worker pool size for the child (0 = phoenixd default).
+  /// Requests the child executes at once (0 = phoenixd default).
   uint64_t worker_threads = 0;
   /// Extra environment for the child, e.g. {"PHX_RECOVERY_THREADS","4"} —
   /// how a chaos schedule pins the child's engine knobs deterministically.

@@ -1,7 +1,5 @@
 #include "net/worker_pool.h"
 
-#include "obs/metrics.h"
-
 namespace phoenix::net {
 
 WorkerPool::WorkerPool(Options opts) : opts_(opts) {
@@ -18,20 +16,11 @@ WorkerPool::~WorkerPool() { Shutdown(); }
 bool WorkerPool::Submit(std::function<void()> task) {
   {
     std::unique_lock<std::mutex> lk(mu_);
-    if (queue_.size() >= opts_.queue_capacity && !stopping_) {
-      obs::MetricsRegistry::Default()
-          ->GetCounter("server.pool.submit_waits")
-          ->Increment();
-    }
     not_full_.wait(lk, [this] {
       return stopping_ || queue_.size() < opts_.queue_capacity;
     });
     if (stopping_) return false;
     queue_.push_back(std::move(task));
-    if (queue_.size() > queue_high_water_) queue_high_water_ = queue_.size();
-    obs::MetricsRegistry::Default()
-        ->GetGauge("server.pool.queue_depth")
-        ->Set(static_cast<int64_t>(queue_.size()));
   }
   not_empty_.notify_one();
   return true;
@@ -56,16 +45,6 @@ void WorkerPool::Drain() {
   idle_.wait(lk, [this] { return queue_.empty() && running_ == 0; });
 }
 
-uint64_t WorkerPool::tasks_executed() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return tasks_executed_;
-}
-
-size_t WorkerPool::queue_high_water() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return queue_high_water_;
-}
-
 void WorkerPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;
@@ -77,19 +56,12 @@ void WorkerPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
       ++running_;
-      obs::MetricsRegistry::Default()
-          ->GetGauge("server.pool.queue_depth")
-          ->Set(static_cast<int64_t>(queue_.size()));
     }
     not_full_.notify_one();
     task();
     {
       std::lock_guard<std::mutex> lk(mu_);
       --running_;
-      ++tasks_executed_;
-      obs::MetricsRegistry::Default()
-          ->GetCounter("server.pool.tasks")
-          ->Increment();
       if (queue_.empty() && running_ == 0) idle_.notify_all();
     }
   }

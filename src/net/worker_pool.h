@@ -11,21 +11,18 @@
 
 namespace phoenix::net {
 
-/// Fixed-size thread pool with a bounded FIFO task queue — the DbServer's
-/// request dispatcher. Semantics chosen for a database server:
+/// Fixed-size thread pool with a bounded FIFO task queue — recovery's
+/// checkpoint decode and partitioned WAL replay run on one.
 ///
 ///  - Submit() blocks the producer while the queue is full (backpressure,
-///    never unbounded memory) and returns false once the pool is stopping —
-///    the caller turns that into a "server is down" response.
+///    never unbounded memory) and returns false once the pool is stopping.
+///  - Drain() is the barrier between phases: it waits until every accepted
+///    task has finished, with intake left open.
 ///  - Shutdown() is a *graceful drain*: intake stops immediately, but every
 ///    task already accepted (queued or running) finishes before the worker
-///    threads are joined. DbServer::Crash() relies on this so no task can
-///    touch the Database object after it is destroyed.
+///    threads are joined.
 ///  - Tasks are plain std::function<void()>; result delivery is the
-///    caller's business (DbServer uses promises keyed by request).
-///
-/// The pool reports "server.pool.*" metrics: tasks executed, queue
-/// high-water mark, and submissions that had to wait for queue space.
+///    caller's business.
 class WorkerPool {
  public:
   struct Options {
@@ -52,8 +49,6 @@ class WorkerPool {
   void Drain();
 
   size_t threads() const { return threads_.size(); }
-  uint64_t tasks_executed() const;
-  size_t queue_high_water() const;
 
  private:
   void WorkerLoop();
@@ -66,8 +61,6 @@ class WorkerPool {
   std::deque<std::function<void()>> queue_;
   std::vector<std::thread> threads_;
   size_t running_ = 0;  ///< tasks currently executing
-  uint64_t tasks_executed_ = 0;
-  size_t queue_high_water_ = 0;
   bool stopping_ = false;
 };
 

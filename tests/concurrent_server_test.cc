@@ -1,15 +1,22 @@
-// Concurrency tests for the worker-pool DbServer: many client threads and
-// sessions against one server, with and without crash/restart mid-flight.
-// The invariants under test:
+// Concurrency tests for the DbServer: many client threads and sessions
+// against one server, with and without crash/restart mid-flight. The
+// invariants under test:
 //   - no DML outcome is lost or duplicated (a success the client saw is
 //     durable; a key is never inserted twice),
 //   - requests naming one session id exclude each other, and the server
 //     keeps no per-session lock state once they finish,
+//   - a request runs on the thread that hands it in, and no more than
+//     `worker_threads` run at once; Crash() lets the admitted ones finish,
+//     turns the waiting ones away, and is not starved by busy clients,
 //   - a single injected fault token fires exactly once regardless of how
 //     many threads share the channel (the per-request claim regression).
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -344,7 +351,7 @@ TEST(ConcurrentServer, InjectedLostReplyFiresExactlyOnce) {
   EXPECT_EQ(chan->stats().faults_injected, 1u);
 }
 
-TEST(ConcurrentServer, WorkerPoolDrainsAcceptedTasksOnCrash) {
+TEST(ConcurrentServer, CrashDrainsAcceptedRequests) {
   ServerOptions opts;
   opts.worker_threads = 2;
   TestCluster cluster(opts);
@@ -393,6 +400,151 @@ TEST(ConcurrentServer, WorkerPoolDrainsAcceptedTasksOnCrash) {
   auto res = db->ExecuteScript(*vsid, "SELECT COUNT(*) AS N FROM D");
   ASSERT_TRUE(res.ok());
   EXPECT_EQ(res.value()[0].rows[0][0].AsInt64(), acknowledged.load());
+}
+
+TEST(ConcurrentServer, RequestRunsOnTheCallingThread) {
+  TestCluster cluster;
+  std::thread::id ran_on;
+  cluster.before_dispatch = [&](const Request&) {
+    ran_on = std::this_thread::get_id();
+  };
+  auto chan = cluster.network.Connect("testdb").take();
+  Request ping;
+  ping.kind = Request::Kind::kPing;
+  PHX_ASSERT_OK(Try(chan.get(), ping));
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+}
+
+TEST(ConcurrentServer, AdmissionCapBoundsConcurrentExecution) {
+  ServerOptions opts;
+  opts.worker_threads = 2;
+  TestCluster cluster(opts);
+  constexpr int kClients = 4;
+  std::vector<std::unique_ptr<Channel>> chans;
+  std::vector<uint64_t> sids;
+  for (int i = 0; i < kClients; ++i) {
+    chans.push_back(cluster.network.Connect("testdb").take());
+    auto conn = chans.back()->RoundTrip(Connect("c" + std::to_string(i)));
+    ASSERT_TRUE(conn.ok());
+    sids.push_back(conn->session_id);
+  }
+  PHX_ASSERT_OK(Try(chans[0].get(),
+                    Exec(sids[0], "CREATE TABLE A (K INTEGER PRIMARY KEY); "
+                                  "INSERT INTO A VALUES (7)")));
+
+  // Every SELECT parks in the hook until released.
+  std::mutex mu;
+  std::condition_variable cv;
+  int inside = 0, max_inside = 0, entered = 0;
+  bool release = false;
+  cluster.before_dispatch = [&](const Request& req) {
+    if (req.sql.rfind("SELECT", 0) != 0) return;
+    std::unique_lock<std::mutex> lk(mu);
+    ++entered;
+    max_inside = std::max(max_inside, ++inside);
+    cv.notify_all();
+    cv.wait(lk, [&] { return release; });
+    --inside;
+  };
+  auto* waits =
+      obs::MetricsRegistry::Default()->GetCounter("server.pool.submit_waits");
+  const uint64_t waits_before = waits->Value();
+  const uint64_t stat_waits_before = cluster.server.stats().admission_waits;
+
+  std::vector<Result<Response>> replies(kClients, Status::Internal("unset"));
+  std::atomic<int> returned{0};
+  std::vector<std::thread> clients;
+  for (int i = 0; i < kClients; ++i) {
+    clients.emplace_back([&, i] {
+      replies[i] = chans[i]->RoundTrip(Exec(sids[i], "SELECT K FROM A"));
+      returned.fetch_add(1);
+    });
+  }
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  auto until = [&](const std::function<bool()>& done) {
+    while (!done() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return done();
+  };
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    ASSERT_TRUE(cv.wait_until(lk, deadline, [&] { return inside == 2; }));
+  }
+  // The other two found both slots taken and are waiting for one.
+  ASSERT_TRUE(until([&] { return waits->Value() - waits_before == 2; }));
+  EXPECT_EQ(cluster.server.stats().admission_waits - stat_waits_before, 2u);
+  EXPECT_EQ(returned.load(), 0);
+
+  // Crash with two requests admitted and two waiting: the waiting ones are
+  // turned away without executing; the crash then waits for the admitted.
+  std::atomic<bool> crashed{false};
+  std::thread crasher([&] {
+    cluster.server.Crash();
+    crashed.store(true);
+  });
+  EXPECT_TRUE(until([&] { return returned.load() == 2; }));
+  EXPECT_FALSE(crashed.load());
+  {
+    std::lock_guard<std::mutex> lk(mu);
+    release = true;
+  }
+  cv.notify_all();
+  for (auto& t : clients) t.join();
+  crasher.join();
+
+  int executed = 0, down = 0;
+  for (const auto& r : replies) {
+    if (r.ok() && r->kind == Response::Kind::kResults) {
+      ASSERT_EQ(r->results[0].rows.size(), 1u);
+      EXPECT_EQ(r->results[0].rows[0][0].AsInt64(), 7);
+      ++executed;
+    } else if (!r.ok() && r.status().IsCommError()) {
+      ++down;
+    }
+  }
+  EXPECT_EQ(executed, 2);
+  EXPECT_EQ(down, 2);
+  EXPECT_EQ(max_inside, 2);
+  EXPECT_EQ(entered, 2);  // the turned-away requests never reached the hook
+}
+
+TEST(ConcurrentServer, CrashIsNotStarvedByBusyClients) {
+  TestCluster cluster;  // 4 slots for 6 busy clients
+  {
+    auto chan = cluster.network.Connect("testdb").take();
+    auto conn = chan->RoundTrip(Connect("ddl"));
+    ASSERT_TRUE(conn.ok());
+    PHX_ASSERT_OK(Try(chan.get(),
+                      Exec(conn->session_id,
+                           "CREATE TABLE R (K INTEGER PRIMARY KEY); "
+                           "INSERT INTO R VALUES (1), (2), (3)")));
+  }
+  constexpr int kThreads = 6;
+  std::atomic<int> reads{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto chan = cluster.network.Connect("testdb").take();
+      auto conn = chan->RoundTrip(Connect("r" + std::to_string(t)));
+      if (!conn.ok() || !conn->ToStatus().ok()) return;
+      while (Try(chan.get(), Exec(conn->session_id,
+                                  "SELECT COUNT(*) AS N FROM R")).ok()) {
+        reads.fetch_add(1);
+      }
+    });
+  }
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (reads.load() < 200 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_GE(reads.load(), 200);
+  auto start = std::chrono::steady_clock::now();
+  cluster.server.Crash();
+  auto took = std::chrono::steady_clock::now() - start;
+  for (auto& t : threads) t.join();
+  EXPECT_LT(took, std::chrono::seconds(2));
+  EXPECT_FALSE(cluster.server.alive());
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <thread>
+#include <vector>
 #include <unistd.h>
 
 #include "gtest/gtest.h"
@@ -661,6 +662,58 @@ TEST(SocketTransport, ServerDownRejectionIsCommErrorEvenUnderLoseReply) {
   auto r = ch->RoundTrip(ExecReq(sid, "INSERT INTO X VALUES (1)"));
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsCommError()) << r.status().ToString();
+}
+
+TEST(SocketTransport, CrashDrainsAcceptedRequests) {
+  // The socket twin of ConcurrentServer.CrashDrainsAcceptedRequests: here
+  // the server's connection threads execute the requests a crash drains.
+  ServerOptions opts;
+  opts.worker_threads = 2;
+  SocketFixture fx(std::move(opts));
+  SKIP_IF_NO_SOCKETS(fx);
+  {
+    auto ch = fx.Connect();
+    uint64_t sid = fx.Call(ch.get(), ConnectReq()).session_id;
+    fx.Call(ch.get(), ExecReq(sid, "CREATE TABLE D (K INTEGER PRIMARY KEY)"));
+  }
+  // Clients on their own connections insert until the crash stops them.
+  // Every round trip must resolve — with the executed result (it beat the
+  // crash) or "server is down" — and none may hang or be dropped.
+  constexpr int kThreads = 4;
+  std::atomic<int> acknowledged{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      auto ch = fx.network.Connect("db");
+      if (!ch.ok()) return;
+      auto conn = ch.value()->RoundTrip(ConnectReq("d" + std::to_string(t)));
+      if (!conn.ok() || !conn->ToStatus().ok()) return;
+      for (int i = 0;; ++i) {
+        auto r = ch.value()->RoundTrip(ExecReq(
+            conn->session_id,
+            "INSERT INTO D VALUES (" + std::to_string(t * 100000 + i) + ")"));
+        if (!r.ok() || !r->ToStatus().ok()) return;
+        acknowledged.fetch_add(1);
+      }
+    });
+  }
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (acknowledged.load() < 20 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  fx.server.Crash();
+  for (auto& t : threads) t.join();
+  EXPECT_GE(acknowledged.load(), 20);
+  ASSERT_TRUE(fx.server.Restart().ok());
+
+  // The durable row count equals the number of acknowledged inserts.
+  eng::Database* db = fx.server.database();
+  auto vsid = db->CreateSession("verify");
+  ASSERT_TRUE(vsid.ok());
+  auto res = db->ExecuteScript(*vsid, "SELECT COUNT(*) AS N FROM D");
+  ASSERT_TRUE(res.ok());
+  EXPECT_EQ(res.value()[0].rows[0][0].AsInt64(), acknowledged.load());
 }
 
 TEST(SocketTransport, ServerShutdownFailsRoundTripsCommError) {

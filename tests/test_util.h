@@ -38,7 +38,7 @@ namespace phoenix::testutil {
 /// A disk + server + network trio, the standard test substrate.
 struct TestCluster {
   storage::SimDisk disk;
-  /// Runs on the server's worker thread just before each request executes
+  /// Runs on the thread handling the request just before it executes
   /// (after any pre_dispatch_hook in the options). Set it before issuing
   /// the requests it should see.
   std::function<void(const net::Request&)> before_dispatch;
